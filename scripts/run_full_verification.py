@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run every verification suite and write the reports to disk.
 
-Produces one JSON and one CSV report per suite plus a combined `all` report,
+Produces one JSON and one CSV report per suite plus a combined `all` report
+(the four suite reports concatenated, byte-identical to `run_suite("all")`),
 prints a per-suite summary table, and exits nonzero if any case fails.
 Reports are byte-deterministic for a fixed (seed, window, trials) triple.
 
@@ -15,7 +16,7 @@ import pathlib
 import sys
 import time
 
-from calderon.report import RunConfig, emit_report_csv, emit_report_json
+from calderon.report import RunConfig, VerificationReport, emit_report_csv, emit_report_json
 from calderon.suites import run_suite
 
 
@@ -31,12 +32,14 @@ def main() -> int:
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    combined = VerificationReport(suite="all", environment=config.environment_echo())
     any_failed = False
     print(f"{'suite':<12} {'pass':>5} {'fail':>5} {'inconclusive':>13} {'seconds':>8}")
     for name in ("core", "norms", "operators", "optrange"):
         t0 = time.perf_counter()
         report = run_suite(name, config)
         dt = time.perf_counter() - t0
+        combined.extend(report)
         counts = report.counts()
         any_failed |= not report.passed
         print(f"{name:<12} {counts['pass']:>5} {counts['fail']:>5} "
@@ -50,7 +53,6 @@ def main() -> int:
                 print(f"  FAIL {case.name}: constant={case.observed_constant} "
                       f"{case.note}", file=sys.stderr)
 
-    combined = run_suite("all", config)
     with open(out_dir / "all.json", "w", newline="\n") as fh:
         emit_report_json(combined, fh)
     print(f"\nreports written to {out_dir}/")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence as TySequence, Union
+from typing import Sequence as TySequence, Union
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -47,7 +47,6 @@ PI = math.pi
 
 METHOD_NAIVE = "naive"
 METHOD_FAST = "fast_convolution"
-METHOD_CLOSED_FORM = "closed_form"
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ def _half_line_window(x: SType, window: int) -> tuple[np.ndarray, float, float]:
     raise TypeError(f"not a sequence: {type(x)!r}")
 
 
-def calderon(x: SType, window: int, tol: float = 1e-10) -> OperatorOutput:
+def calderon(x: SType, window: int) -> OperatorOutput:
     """Prefix-sum evaluation of S on [0, window)."""
     if window < 1:
         raise ValueError("window must be positive")
@@ -127,9 +126,7 @@ def calderon(x: SType, window: int, tol: float = 1e-10) -> OperatorOutput:
     return OperatorOutput(0, values, hw, METHOD_FAST)
 
 
-def calderon_min_kernel(
-    x: SType, window: int, eval_window: Optional[int] = None, tol: float = 1e-10
-) -> OperatorOutput:
+def calderon_min_kernel(x: SType, window: int) -> OperatorOutput:
     """Kernel-product evaluation of S on [0, window): independent cross-check
     of `calderon` via the explicit min(1/k, 1/(n+1)) kernel."""
     if window < 1:
@@ -141,9 +138,7 @@ def calderon_min_kernel(
         dense = x.dense(0, K)
         beyond_mid = beyond_hw = 0.0
     else:
-        K = eval_window if eval_window is not None else max(4 * window, 4096)
-        if K <= window:
-            raise ValueError("evaluation window must exceed the output window")
+        K = max(4 * window, 4096)
         dense, beyond_mid, beyond_hw = _half_line_window(x, K)
     with np.errstate(divide="ignore"):
         invk = 1.0 / np.arange(K, dtype=np.float64)  # inf at k = 0

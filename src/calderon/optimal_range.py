@@ -37,7 +37,6 @@ from .sequences import (
     PowerLogTail,
     Rearrangement,
     Sequence,
-    ZeroTail,
     decreasing_rearrangement,
     finite,
     harmonic_number,
@@ -150,13 +149,6 @@ def _harmonic_calderon_window(window: int) -> np.ndarray:
 
 def _mu_head(mu: Rearrangement, window: int) -> np.ndarray:
     return mu.head(window) if not mu.tail.is_zero else mu.head(min(window, len(mu.values)))
-
-
-def _scale_mu(mu: Rearrangement, c: float) -> Rearrangement:
-    if mu.tail.is_zero:
-        return Rearrangement(mu.values * c, ZeroTail())
-    t = mu.tail
-    return Rearrangement(mu.values * c, PowerLogTail(t.alpha, t.beta, t.scale * c))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +287,9 @@ def _scaled_shape(shape: MuLike, c: float) -> MuLike:
     if isinstance(shape, FiniteSequence):
         return finite(shape.values * c, shape.offset, shape.domain)
     if isinstance(shape, Rearrangement):
-        return _scale_mu(shape, c)
+        t = shape.tail
+        tail = t if t.is_zero else PowerLogTail(t.alpha, t.beta, t.scale * c)
+        return Rearrangement(shape.values * c, tail)
     raise TypeError(f"not a shape: {type(shape)!r}")
 
 

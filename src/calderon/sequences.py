@@ -216,22 +216,14 @@ class ZeroTail:
 
 
 @dataclass(frozen=True)
-class PowerLogTail:
-    """Analytic tail mu(k) = scale * log(k+2)**beta / (k+1)**alpha, absolute index k."""
-
-    alpha: float
-    beta: float
-    scale: float
-
-    is_zero = False
+class PowerLogTail(PowerLogSequence):
+    """Analytic rearrangement tail: the power-log profile at absolute index k,
+    with a nonnegative scale."""
 
     def __post_init__(self):
+        super().__post_init__()
         if self.scale < 0:
             raise ValueError("rearrangement tail scale must be nonnegative")
-
-    def values_at(self, k) -> np.ndarray:
-        k = np.asarray(k, dtype=np.float64)
-        return self.scale * np.log(k + 2.0) ** self.beta / (k + 1.0) ** self.alpha
 
 
 Tail = Union[ZeroTail, PowerLogTail]
@@ -427,7 +419,7 @@ def weighted_tail_sum(
         total = float(np.sum(np.asarray(vals, dtype=np.longdouble) / ks))
         return Bracket(total, total)
     if isinstance(x, PowerLogSequence):
-        return _powerlog_weighted_tail(x.alpha, x.beta, x.scale, n, tol, cap)
+        return _powerlog_weighted_tail(x, n, tol, cap)
     if isinstance(x, Rearrangement):
         W = len(x.values)
         head_part = ZERO_BRACKET
@@ -438,27 +430,25 @@ def weighted_tail_sum(
             head_part = Bracket(t, t)
         if x.tail.is_zero:
             return head_part
-        t = x.tail
-        beyond = _powerlog_weighted_tail(t.alpha, t.beta, t.scale, max(n, W - 1), tol, cap, floor_start=W)
+        beyond = _powerlog_weighted_tail(x.tail, max(n, W - 1), tol, cap, floor_start=W)
         return head_part + beyond
     raise TypeError(f"not a sequence: {type(x)!r}")
 
 
 def _powerlog_weighted_tail(
-    alpha: float,
-    beta: float,
-    scale: float,
+    x: PowerLogSequence,
     n: int,
     tol: float,
     cap: int,
     floor_start: int | None = None,
 ) -> Bracket:
-    s = abs(scale)
-    sign = 1.0 if scale >= 0 else -1.0
+    alpha, beta = x.alpha, x.beta
+    s = abs(x.scale)
+    sign = 1.0 if x.scale >= 0 else -1.0
     if s == 0.0:
         return ZERO_BRACKET
     first = n + 1 if floor_start is None else max(n + 1, floor_start)
-    if alpha == 1.0 and beta == 0.0:
+    if x.is_harmonic:
         # sum_{k >= first} 1/(k(k+1)) telescopes to 1/first
         val = sign * s / first
         return Bracket(val, val)
@@ -472,7 +462,7 @@ def _powerlog_weighted_tail(
     partial = 0.0
     if start > first:
         ks = np.arange(first, start, dtype=np.float64)
-        vals = s * np.log(ks + 2.0) ** beta / (ks + 1.0) ** alpha
+        vals = np.abs(x.values_at(ks))
         partial = float(np.sum(np.asarray(vals, dtype=np.longdouble) / ks))
     out = rem.shifted(partial)
     if sign < 0:
@@ -518,6 +508,14 @@ _POWERLOG_KEYS = {"kind", "alpha", "beta"}
 _POWERLOG_OPT = {"scale"}
 
 
+def json_number(value, name: str) -> float:
+    """A numeric wire field as a float; null, strings, booleans, lists and
+    objects are rejected with ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def sequence_to_json(x: Sequence) -> dict:
     if isinstance(x, FiniteSequence):
         return {
@@ -547,7 +545,10 @@ def sequence_from_json(d: dict) -> Sequence:
             raise ValueError(f"missing fields in finite sequence: {sorted(missing)}")
         if not isinstance(d["offset"], int) or isinstance(d["offset"], bool):
             raise ValueError("offset must be an integer")
-        return finite(d["values"], d["offset"], IndexDomain(d["domain"]))
+        if not isinstance(d["values"], list):
+            raise ValueError("values must be a list of numbers")
+        values = [json_number(v, "each entry of values") for v in d["values"]]
+        return finite(values, d["offset"], IndexDomain(d["domain"]))
     if kind == "power_log":
         extra = set(d) - _POWERLOG_KEYS - _POWERLOG_OPT
         if extra:
@@ -555,10 +556,10 @@ def sequence_from_json(d: dict) -> Sequence:
         missing = _POWERLOG_KEYS - set(d)
         if missing:
             raise ValueError(f"missing fields in power_log sequence: {sorted(missing)}")
-        return PowerLogSequence(float(d["alpha"]), float(d["beta"]), float(d.get("scale", 1.0)))
+        return PowerLogSequence(
+            json_number(d["alpha"], "alpha"),
+            json_number(d["beta"], "beta"),
+            json_number(d.get("scale", 1.0), "scale"),
+        )
     raise ValueError(f"unknown sequence kind: {kind!r}")
 
-
-# widely used alternative names for the same operations
-dilation = dilate
-tail_sum_over_k = weighted_tail_sum

@@ -10,7 +10,7 @@ spaces:
 * lorentz_phi     sum mu(n) (phi(n+1) - phi(n)), phi = log1p or t^theta
 * m1inf           sup (sum_{k<=n} mu(k)) / log(2+n)
 * sum_weakl1_linf inf over splittings x = x1 + x2 of |x1|_weak + |x2|_sup,
-                  estimated by a truncation-height scan
+                  which equals mu(0) exactly
 
 Values are certified: explicit window arithmetic plus analytic tail brackets
 for the power-log family.  A functional that genuinely diverges reports an
@@ -22,7 +22,7 @@ exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -34,15 +34,7 @@ from .brackets import (
     powerlog_tail,
     ratio_profile_sup,
 )
-from .sequences import (
-    FiniteSequence,
-    PowerLogSequence,
-    PowerLogTail,
-    Rearrangement,
-    Sequence,
-    decreasing_rearrangement,
-    harmonic_numbers,
-)
+from .sequences import Rearrangement, Sequence, decreasing_rearrangement, json_number
 
 INFINITE = math.inf
 
@@ -141,10 +133,10 @@ def space_spec_from_json(d: dict) -> SpaceSpec:
         if phi_doc == "log1p":
             phi = LOG1P
         elif isinstance(phi_doc, dict) and set(phi_doc) == {"power"}:
-            phi = PhiTemplate("power", float(phi_doc["power"]))
+            phi = PhiTemplate("power", json_number(phi_doc["power"], "phi power"))
         else:
             raise ValueError(f"unknown phi descriptor: {phi_doc!r}")
-    return SpaceSpec(kind, p=None if p is None else float(p), phi=phi)
+    return SpaceSpec(kind, p=None if p is None else json_number(p, "p"), phi=phi)
 
 
 @dataclass(frozen=True)
@@ -182,10 +174,6 @@ def _from_bracket(b: Bracket, window: int) -> NormValue:
 MuLike = Union[Sequence, Rearrangement]
 
 
-def _mu_of(x: MuLike) -> Rearrangement:
-    return decreasing_rearrangement(x)
-
-
 # ---------------------------------------------------------------------------
 # individual functionals
 
@@ -194,7 +182,7 @@ def lp_norm(x: MuLike, p: float, window: int = 65536, tol: float = 1e-10) -> Nor
     """(sum |x(n)|^p)^(1/p) with certified tail bracket."""
     if not p >= 1:
         raise ValueError("lp norm needs p >= 1")
-    mu = _mu_of(x)
+    mu = decreasing_rearrangement(x)
     head = mu.values
     head_sum = float(np.sum(np.asarray(head, dtype=np.longdouble) ** p))
     if mu.tail.is_zero:
@@ -218,7 +206,7 @@ def lp_norm(x: MuLike, p: float, window: int = 65536, tol: float = 1e-10) -> Nor
 
 def weak_l1_quasinorm(x: MuLike, window: int = 65536) -> NormValue:
     """sup_n (n+1) mu(n); infinite when the analytic tail grows faster than 1/n."""
-    mu = _mu_of(x)
+    mu = decreasing_rearrangement(x)
     head = mu.head(window) if not mu.tail.is_zero else mu.values
     W = len(head)
     window_sup = float(np.max((np.arange(W) + 1.0) * head)) if W else 0.0
@@ -233,7 +221,7 @@ def weak_l1_quasinorm(x: MuLike, window: int = 65536) -> NormValue:
 
 def llog_norm(x: MuLike, window: int = 65536, tol: float = 1e-10) -> NormValue:
     """sum_n mu(n)/(n+1) with certified tail bracket."""
-    mu = _mu_of(x)
+    mu = decreasing_rearrangement(x)
     head = mu.values
     ns = np.arange(len(head), dtype=np.float64)
     head_sum = float(np.sum(np.asarray(head, dtype=np.longdouble) / (ns + 1.0))) if len(head) else 0.0
@@ -252,7 +240,7 @@ def lorentz_phi_norm(
     x: MuLike, phi: PhiTemplate, window: int = 65536, tol: float = 1e-10
 ) -> NormValue:
     """sum_n mu(n) (phi(n+1) - phi(n)) with certified tail bracket."""
-    mu = _mu_of(x)
+    mu = decreasing_rearrangement(x)
     head = mu.values
     ns = np.arange(len(head))
     head_sum = (
@@ -306,7 +294,7 @@ def marcinkiewicz_norm(x: MuLike, window: int = 65536) -> NormValue:
     is infinite unless alpha > 1 or (alpha, beta) = (1, 0); in the convergent
     cases a certified beyond-window bound shows the window sup is the sup.
     """
-    mu = _mu_of(x)
+    mu = decreasing_rearrangement(x)
     if mu.tail.is_zero:
         head = mu.values
         if not len(head):
@@ -344,37 +332,20 @@ def marcinkiewicz_norm(x: MuLike, window: int = 65536) -> NormValue:
 
 
 def sum_space_quasinorm(x: MuLike, window: int = 65536) -> NormValue:
-    """Truncation-scan upper estimate of the (weak-l1 + l-infinity) infimum.
+    """inf over splittings x = x1 + x2 of |x1|_weak + |x2|_sup, which on
+    counting measure is exactly mu(0, x).
 
-    For each height t in {0} union {distinct window values of mu}, split
-    mu = (mu - t)_+ + min(mu, t) and score |(mu-t)_+|_weak + t; the minimum
-    over candidates is returned.  The result is an upper bound of the true
-    infimum and within a factor 2 of it (property-tested against a dense
-    height grid on tiny supports).
+    Proof: for every y, |y|_sup = mu(0, y) <= sup_n (n+1) mu(n, y) = |y|_weak.
+    Hence for every split x = x1 + x2,
+
+        mu(0, x) <= |x1|_sup + |x2|_sup <= |x1|_weak + |x2|_sup,
+
+    and the split x1 = 0, x2 = x attains the bound.  The value is therefore
+    exact (half-width 0) for finite and analytic inputs alike.
     """
-    mu = _mu_of(x)
-    if mu.is_zero:
-        return NormValue(0.0, 0.0, window)
-    head = mu.head(window) if not mu.tail.is_zero else mu.values
-    W = len(head)
-    best = INFINITE
-    # t = 0 candidate: the full weak quasinorm (may be infinite)
-    w0 = weak_l1_quasinorm(mu, window)
-    if not w0.is_infinite:
-        best = w0.value
-    heights = np.unique(head)[::-1]
-    ns = np.arange(W) + 1.0
-    for t in heights:
-        clipped = np.maximum(head - t, 0.0)
-        # support of (mu - t)_+ lies inside the window unless t is below the
-        # analytic tail edge; skip such heights (their score is not certified)
-        if not mu.tail.is_zero and t <= float(mu.tail.values_at(np.float64(W))):
-            continue
-        weak_part = float(np.max(ns * clipped)) if W else 0.0
-        best = min(best, weak_part + float(t))
-    if math.isinf(best):
-        return _infinite(window)
-    return NormValue(best, 0.0, max(window, W))
+    mu = decreasing_rearrangement(x)
+    W = max(window, len(mu.values)) if mu.tail.is_zero else window
+    return NormValue(mu.value_at(0), 0.0, W)
 
 
 def space_norm(spec: SpaceSpec, x: MuLike, window: int = 65536, tol: float = 1e-10) -> NormValue:

@@ -93,10 +93,24 @@ def _case(name: str, ok: bool, observed: Optional[float], note: str, witness=Non
     )
 
 
-def _fail_witness(seed: int, index, **extra) -> dict:
-    w = {"seed": seed, "case_index": index}
-    w.update(extra)
-    return w
+def _scan_case(name: str, note: str, seed: int, failures, count: bool = False) -> CaseResult:
+    """Case from a lazy stream of failures, each a case index or a dict of
+    witness fields that holds "case_index".
+
+    The scan stops at the first failure, so the stream computes and draws
+    nothing beyond it.  With count=True it consumes the whole stream, reports
+    the number of failures as the observed constant and keeps the first one
+    as the witness.
+    """
+    first, violations = None, 0
+    for failure in failures:
+        violations += 1
+        if first is None:
+            first = failure if isinstance(failure, dict) else {"case_index": failure}
+        if not count:
+            break
+    witness = None if first is None else {"seed": seed, **first}
+    return _case(name, first is None, float(violations) if count else None, note, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -109,134 +123,116 @@ def _core_cases(config: RunConfig) -> List[CaseResult]:
 
     signed = generate_family(FAMILY_RANDOM_SIGNED, 200, seed)
 
-    bad = next(
-        (
-            i
-            for i, x in enumerate(signed)
-            if not decreasing_rearrangement(x).equals(
-                decreasing_rearrangement(decreasing_rearrangement(x))
-            )
-        ),
-        None,
-    )
     cases.append(
-        _case(
+        _scan_case(
             "mu_idempotent_bitwise",
-            bad is None,
-            None,
             f"mu(mu(x)) == mu(x) bitwise over {len(signed)} signed sequences",
-            None if bad is None else _fail_witness(seed, bad),
+            seed,
+            (
+                i
+                for i, x in enumerate(signed)
+                if not decreasing_rearrangement(x).equals(
+                    decreasing_rearrangement(decreasing_rearrangement(x))
+                )
+            ),
         )
     )
 
     rng = family_rng("core/permutation", seed)
-    bad = None
-    for i, x in enumerate(signed):
-        perm = rng.permutation(len(x.values))
-        if not decreasing_rearrangement(x).equals(
-            decreasing_rearrangement(finite(x.values[perm]))
-        ):
-            bad = i
-            break
     cases.append(
-        _case(
+        _scan_case(
             "mu_permutation_invariant",
-            bad is None,
-            None,
             f"mu invariant under index permutation over {len(signed)} sequences",
-            None if bad is None else _fail_witness(seed, bad),
+            seed,
+            (
+                i
+                for i, x in enumerate(signed)
+                if not decreasing_rearrangement(x).equals(
+                    decreasing_rearrangement(finite(x.values[rng.permutation(len(x.values))]))
+                )
+            ),
         )
     )
 
-    rng = family_rng("core/homogeneity", seed)
-    bad = None
-    for i, x in enumerate(signed):
-        c = float(rng.standard_normal()) * 3.0
-        lhs = decreasing_rearrangement(finite(x.values * c)).values
-        rhs = abs(c) * decreasing_rearrangement(x).values
-        if not np.array_equal(lhs, rhs):
-            bad = i
-            break
+    def homogeneity_failures(rng):
+        for i, x in enumerate(signed):
+            c = float(rng.standard_normal()) * 3.0
+            lhs = decreasing_rearrangement(finite(x.values * c)).values
+            if not np.array_equal(lhs, abs(c) * decreasing_rearrangement(x).values):
+                yield i
+
     cases.append(
-        _case(
+        _scan_case(
             "mu_absolute_homogeneity_bitwise",
-            bad is None,
-            None,
             f"mu(c x) == |c| mu(x) bitwise over {len(signed)} sequences",
-            None if bad is None else _fail_witness(seed, bad),
+            seed,
+            homogeneity_failures(family_rng("core/homogeneity", seed)),
         )
     )
 
-    bad = None
-    for i, x in enumerate(signed[:50]):
-        mu = decreasing_rearrangement(x)
-        for m in (2, 3, 4):
-            for k in (2, 3, 4):
-                if not dilate(dilate(mu, m), k).equals(dilate(mu, m * k)):
-                    bad = (i, m, k)
-                    break
     cases.append(
-        _case(
+        _scan_case(
             "dilation_composition_bitwise",
-            bad is None,
-            None,
             "sigma_m(sigma_k(mu x)) == sigma_{mk}(mu x) for m,k in {2,3,4} over 50 sequences",
-            None if bad is None else _fail_witness(seed, bad[0], m=bad[1], k=bad[2]),
+            seed,
+            (
+                {"case_index": i, "m": m, "k": k}
+                for i, mu in enumerate(map(decreasing_rearrangement, signed[:50]))
+                for m in (2, 3, 4)
+                for k in (2, 3, 4)
+                if not dilate(dilate(mu, m), k).equals(dilate(mu, m * k))
+            ),
         )
     )
 
-    rng = family_rng("core/two_term", seed)
-    violations = 0
-    worst_idx = None
+    def two_term_failures(rng, n_pairs):
+        for i in range(n_pairs):
+            n1 = int(rng.integers(1, 48))
+            n2 = int(rng.integers(1, 48))
+            x1 = finite(rng.standard_normal(n1))
+            x2 = finite(rng.standard_normal(n2))
+            s = add_scaled(x1, 1.0, x2, 1.0)
+            n = max(n1, n2) + 2
+            lhs = decreasing_rearrangement(s).head(n)
+            d1 = dilate(decreasing_rearrangement(x1), 2).head(n)
+            d2 = dilate(decreasing_rearrangement(x2), 2).head(n)
+            if np.any(lhs > d1 + d2 + 1e-15):
+                yield i
+
     n_pairs = 1000
-    for i in range(n_pairs):
-        n1 = int(rng.integers(1, 48))
-        n2 = int(rng.integers(1, 48))
-        x1 = finite(rng.standard_normal(n1))
-        x2 = finite(rng.standard_normal(n2))
-        s = add_scaled(x1, 1.0, x2, 1.0)
-        n = max(n1, n2) + 2
-        lhs = decreasing_rearrangement(s).head(n)
-        d1 = dilate(decreasing_rearrangement(x1), 2).head(n)
-        d2 = dilate(decreasing_rearrangement(x2), 2).head(n)
-        if np.any(lhs > d1 + d2 + 1e-15):
-            violations += 1
-            worst_idx = worst_idx if worst_idx is not None else i
     cases.append(
-        _case(
+        _scan_case(
             "mu_two_term_subadditivity",
-            violations == 0,
-            float(violations),
             f"mu(n, x1+x2) <= (sigma_2 mu x1)(n) + (sigma_2 mu x2)(n), {n_pairs} pairs",
-            None if violations == 0 else _fail_witness(seed, worst_idx),
+            seed,
+            two_term_failures(family_rng("core/two_term", seed), n_pairs),
+            count=True,
         )
     )
 
-    rng = family_rng("core/multi_term", seed)
-    violations = 0
-    worst_idx = None
+    def multi_term_failures(rng, n_tuples):
+        for i in range(n_tuples):
+            K = int(rng.integers(2, 7))
+            xs = [finite(rng.standard_normal(int(rng.integers(1, 32)))) for _ in range(K)]
+            total = xs[0]
+            for xk in xs[1:]:
+                total = add_scaled(total, 1.0, xk, 1.0)
+            n = max(x.end for x in xs) + 2
+            lhs = decreasing_rearrangement(total).head(n)
+            rhs = np.zeros(n)
+            for k, xk in enumerate(xs, start=1):
+                rhs += dilate(decreasing_rearrangement(xk), 2**k).head(n)
+            if np.any(lhs > rhs + 1e-15):
+                yield i
+
     n_tuples = 200
-    for i in range(n_tuples):
-        K = int(rng.integers(2, 7))
-        xs = [finite(rng.standard_normal(int(rng.integers(1, 32)))) for _ in range(K)]
-        total = xs[0]
-        for xk in xs[1:]:
-            total = add_scaled(total, 1.0, xk, 1.0)
-        n = max(x.end for x in xs) + 2
-        lhs = decreasing_rearrangement(total).head(n)
-        rhs = np.zeros(n)
-        for k, xk in enumerate(xs, start=1):
-            rhs += dilate(decreasing_rearrangement(xk), 2**k).head(n)
-        if np.any(lhs > rhs + 1e-15):
-            violations += 1
-            worst_idx = worst_idx if worst_idx is not None else i
     cases.append(
-        _case(
+        _scan_case(
             "mu_multi_term_dilated_bound",
-            violations == 0,
-            float(violations),
             f"mu(n, sum x_k) <= sum (sigma_2^k mu x_k)(n), K <= 6, {n_tuples} tuples",
-            None if violations == 0 else _fail_witness(seed, worst_idx),
+            seed,
+            multi_term_failures(family_rng("core/multi_term", seed), n_tuples),
+            count=True,
         )
     )
 
@@ -262,27 +258,25 @@ def _core_cases(config: RunConfig) -> List[CaseResult]:
         )
     )
 
-    rng = family_rng("core/add_scaled", seed)
-    bad = None
-    for i in range(100):
-        x1 = finite(rng.standard_normal(int(rng.integers(1, 32))))
-        x2 = finite(rng.standard_normal(int(rng.integers(1, 32))), offset=int(rng.integers(0, 8)))
-        a1 = float(rng.standard_normal())
-        a2 = float(rng.standard_normal())
-        s = add_scaled(x1, a1, x2, a2)
-        hi = max(x1.end, x2.end) + 1
-        want = np.array([a1 * x1.value_at(k) + a2 * x2.value_at(k) for k in range(hi)])
-        got = np.array([s.value_at(k) for k in range(hi)])
-        if not np.allclose(got, want, rtol=0.0, atol=1e-15):
-            bad = i
-            break
+    def add_scaled_failures(rng):
+        for i in range(100):
+            x1 = finite(rng.standard_normal(int(rng.integers(1, 32))))
+            x2 = finite(rng.standard_normal(int(rng.integers(1, 32))), offset=int(rng.integers(0, 8)))
+            a1 = float(rng.standard_normal())
+            a2 = float(rng.standard_normal())
+            s = add_scaled(x1, a1, x2, a2)
+            hi = max(x1.end, x2.end) + 1
+            want = np.array([a1 * x1.value_at(k) + a2 * x2.value_at(k) for k in range(hi)])
+            got = np.array([s.value_at(k) for k in range(hi)])
+            if not np.allclose(got, want, rtol=0.0, atol=1e-15):
+                yield i
+
     cases.append(
-        _case(
+        _scan_case(
             "add_scaled_pointwise",
-            bad is None,
-            None,
             "merged linear combination matches dense arithmetic over 100 draws",
-            None if bad is None else _fail_witness(seed, bad),
+            seed,
+            add_scaled_failures(family_rng("core/add_scaled", seed)),
         )
     )
     return cases
@@ -447,19 +441,16 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
     )
 
     mono = generate_family(FAMILY_RANDOM_NONNEG_DECREASING, 50, seed)
-    bad = None
-    for i, x in enumerate(mono):
-        v = calderon(x, min(window, 256)).window_values
-        if np.any(v < -1e-15) or np.any(np.diff(v) > 1e-15):
-            bad = i
-            break
     cases.append(
-        _case(
+        _scan_case(
             "calderon_positive_and_monotone",
-            bad is None,
-            None,
             "S x >= 0 and nonincreasing for nonnegative nonincreasing x, 50 draws",
-            None if bad is None else _fail_witness(seed, bad),
+            seed,
+            (
+                i
+                for i, v in enumerate(calderon(x, min(window, 256)).window_values for x in mono)
+                if np.any(v < -1e-15) or np.any(np.diff(v) > 1e-15)
+            ),
         )
     )
 
@@ -482,54 +473,48 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
     cases.append(verify_kernel_monotonicity(rows=(0, 1, 2, 7, 64), k_max=512))
 
     signed = generate_family(FAMILY_RANDOM_SIGNED, config.trials, seed)
-    violations = 0
-    worst_idx = None
-    for i, x in enumerate(signed):
-        r = verify_pointwise_domination(x, min(window, 256), tol=config.tolerance_exact)
-        if r.status != PASS:
-            violations += 1
-            worst_idx = worst_idx if worst_idx is not None else i
     cases.append(
-        _case(
+        _scan_case(
             "pointwise_domination_by_rearranged_image",
-            violations == 0,
-            float(violations),
             f"|S x| <= S mu(x) pointwise over {len(signed)} signed sequences",
-            None if violations == 0 else _fail_witness(seed, worst_idx),
+            seed,
+            (
+                i
+                for i, x in enumerate(signed)
+                if verify_pointwise_domination(x, min(window, 256), tol=config.tolerance_exact).status
+                != PASS
+            ),
+            count=True,
         )
     )
 
-    fixed_bad = None
     probes = mono[:50] + [finite(1.0 / (np.arange(64) + 1.0))]
-    for i, x in enumerate(probes):
-        if verify_sd_rearrangement_fixed(x, min(window, 256)).status != PASS:
-            fixed_bad = i
-            break
     cases.append(
-        _case(
+        _scan_case(
             "image_of_monotone_is_own_rearrangement",
-            fixed_bad is None,
-            None,
             "S mu(x) is nonincreasing and equal to its sorted self, bitwise",
-            None if fixed_bad is None else _fail_witness(seed, fixed_bad),
+            seed,
+            (
+                i
+                for i, x in enumerate(probes)
+                if verify_sd_rearrangement_fixed(x, min(window, 256)).status != PASS
+            ),
         )
     )
 
-    violations = 0
-    worst_idx = None
     lower_window = min(window, 512)
-    for i, x in enumerate(mono[: min(config.trials, 50)]):
-        r = verify_hilbert_lower_bound(x, lower_window, tol=config.tolerance_exact)
-        if r.status != PASS:
-            violations += 1
-            worst_idx = worst_idx if worst_idx is not None else i
     cases.append(
-        _case(
+        _scan_case(
             "hilbert_reflected_lower_bound",
-            violations == 0,
-            float(violations),
             f"S x(n)/(2 pi) <= |H x(-n)| on [1, {lower_window}] for nonneg nonincreasing x",
-            None if violations == 0 else _fail_witness(seed, worst_idx),
+            seed,
+            (
+                i
+                for i, x in enumerate(mono[: min(config.trials, 50)])
+                if verify_hilbert_lower_bound(x, lower_window, tol=config.tolerance_exact).status
+                != PASS
+            ),
+            count=True,
         )
     )
 
@@ -582,23 +567,21 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
         )
     )
 
-    rng = family_rng("operators/even", seed)
-    bad = None
-    for i in range(20):
-        half = rng.standard_normal(int(rng.integers(1, 32)))
-        even = FiniteSequence(
-            IndexDomain.LINE, -len(half), np.concatenate([half[::-1], [0.0], half])
-        )
-        if hilbert_even_cancellation(even, tol=config.tolerance_exact).status != PASS:
-            bad = i
-            break
+    def even_failures(rng):
+        for i in range(20):
+            half = rng.standard_normal(int(rng.integers(1, 32)))
+            even = FiniteSequence(
+                IndexDomain.LINE, -len(half), np.concatenate([half[::-1], [0.0], half])
+            )
+            if hilbert_even_cancellation(even, tol=config.tolerance_exact).status != PASS:
+                yield i
+
     cases.append(
-        _case(
+        _scan_case(
             "hilbert_even_input_cancels_at_zero",
-            bad is None,
-            None,
             "(H x)(0) = 0 for sequences even about 0, 20 draws",
-            None if bad is None else _fail_witness(seed, bad),
+            seed,
+            even_failures(family_rng("operators/even", seed)),
         )
     )
 
@@ -801,64 +784,59 @@ def _optrange_cases(config: RunConfig) -> List[CaseResult]:
         )
     )
 
-    rng = family_rng("optrange/mu_invariance", seed)
-    bad = None
-    for i in range(50):
-        x = finite(rng.standard_normal(int(rng.integers(1, cap))))
-        fa = f_norm_upper(x, WEAK_L1, grid)
-        fb = f_norm_upper(decreasing_rearrangement(x), WEAK_L1, grid)
-        if fa.upper != fb.upper:
-            bad = i
-            break
+    def invariance_failures(rng):
+        for i in range(50):
+            x = finite(rng.standard_normal(int(rng.integers(1, cap))))
+            fa = f_norm_upper(x, WEAK_L1, grid)
+            fb = f_norm_upper(decreasing_rearrangement(x), WEAK_L1, grid)
+            if fa.upper != fb.upper:
+                yield i
+
     cases.append(
-        _case(
+        _scan_case(
             "f_norm_rearrangement_invariant_bitwise",
-            bad is None,
-            None,
             "witness search sees only mu(x): estimates agree bitwise, 50 draws",
-            None if bad is None else _fail_witness(seed, bad),
+            seed,
+            invariance_failures(family_rng("optrange/mu_invariance", seed)),
         )
     )
 
-    mixed = _mixed_membership_family(seed, config.trials, cap)
-    disagreements = 0
-    worst_idx = None
-    for i, x in enumerate(mixed):
-        memb = weak_l1_membership(x, window=grid.window).member
+    def witness_found(x) -> bool:
         try:
             f_norm_upper(x, WEAK_L1, grid)
-            found = True
         except NoWitnessFoundError:
-            found = False
-        if memb != found:
-            disagreements += 1
-            worst_idx = worst_idx if worst_idx is not None else i
+            return False
+        return True
+
+    mixed = _mixed_membership_family(seed, config.trials, cap)
     cases.append(
-        _case(
+        _scan_case(
             "membership_biconditional_with_witness_search",
-            disagreements == 0,
-            float(disagreements),
             f"finiteness of c_a agrees with witness-search success on {len(mixed)} mixed inputs",
-            None if disagreements == 0 else _fail_witness(seed, worst_idx),
+            seed,
+            (
+                i
+                for i, x in enumerate(mixed)
+                if weak_l1_membership(x, window=grid.window).member != witness_found(x)
+            ),
+            count=True,
         )
     )
 
-    rng = family_rng("optrange/reverify", seed)
-    bad = None
-    for i in range(20):
-        x = finite(np.abs(rng.standard_normal(int(rng.integers(1, cap)))))
-        est = f_norm_upper(x, WEAK_L1, grid)
-        cert = check_domination(est.witness.x, est.witness.y, grid.window)
-        if not (est.witness.verified and cert.verified):
-            bad = i
-            break
+    def reverify_failures(rng):
+        for i in range(20):
+            x = finite(np.abs(rng.standard_normal(int(rng.integers(1, cap)))))
+            est = f_norm_upper(x, WEAK_L1, grid)
+            cert = check_domination(est.witness.x, est.witness.y, grid.window)
+            if not (est.witness.verified and cert.verified):
+                yield i
+
     cases.append(
-        _case(
+        _scan_case(
             "certificate_reverifies_from_scratch",
-            bad is None,
-            None,
             "every emitted witness passes an independent re-check, 20 draws",
-            None if bad is None else _fail_witness(seed, bad),
+            seed,
+            reverify_failures(family_rng("optrange/reverify", seed)),
         )
     )
 

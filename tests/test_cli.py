@@ -292,6 +292,31 @@ def test_missing_input_file_is_usage_error(capsys, tmp_path):
     assert cli.main(["rearrange", "--in", str(tmp_path / "absent.json")]) == 2
 
 
+_IMPULSE = {"kind": "finite", "domain": "half_line", "offset": 0, "values": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "seq_doc, space_doc",
+    [
+        ({"kind": "power_log", "alpha": None, "beta": 0}, None),
+        ({"kind": "power_log", "alpha": 1.0, "beta": 0, "scale": None}, None),
+        ({"kind": "power_log", "alpha": [1], "beta": 0}, None),
+        ({"kind": "finite", "domain": "half_line", "offset": 0, "values": {"a": 1}}, None),
+        (_IMPULSE, {"space": "lorentz_phi", "phi": {"power": None}}),
+    ],
+    ids=["alpha_null", "scale_null", "alpha_list", "values_object", "phi_power_null"],
+)
+def test_non_numeric_wire_field_is_usage_error(capsys, tmp_path, seq_doc, space_doc):
+    seq = tmp_path / "x.json"
+    seq.write_text(json.dumps(seq_doc))
+    space = "weak_l1"
+    if space_doc is not None:
+        space = str(tmp_path / "space.json")
+        (tmp_path / "space.json").write_text(json.dumps(space_doc))
+    assert cli.main(["norm", "--in", str(seq), "--space", space]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_out_flag_writes_file(tmp_path, capsys, impulse_file):
     dest = tmp_path / "vals.json"
     code = cli.main(["calderon", "--in", impulse_file, "--window", "2", "--out", str(dest)])

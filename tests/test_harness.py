@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from calderon.sequences import FiniteSequence, PowerLogSequence
 from calderon.suites import (
     OPTRANGE_SUBSUITES,
     SUITE_NAMES,
+    _scan_case,
     run_optrange_subsuite,
     run_suite,
 )
@@ -239,7 +243,52 @@ def test_all_suite_is_concatenation_of_parts():
     assert len(names) == len(set(names)), "case names must be unique"
     parts = [run_suite(n, RunConfig(seed=1, window=1 << 9, trials=4)) for n in
              ("core", "norms", "operators", "optrange")]
-    assert names == [c.name for p in parts for c in p.cases]
+    assert [c.to_json_dict() for c in rep.cases] == [
+        c.to_json_dict() for p in parts for c in p.cases
+    ]
+
+
+def test_full_verification_script_all_report_matches_run_suite(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"
+    main = runpy.run_path(str(script))["main"]
+    monkeypatch.setattr(
+        sys, "argv",
+        [str(script), "--window", "16", "--trials", "2", "--out", str(tmp_path)],
+    )
+    main()
+    buf = io.StringIO()
+    emit_report_json(run_suite("all", RunConfig(seed=1, window=16, trials=2)), buf)
+    assert (tmp_path / "all.json").read_text() == buf.getvalue()
+
+
+def test_scan_case_witness_is_first_failure():
+    failures = [3, 5]
+    stop = _scan_case("demo", "note", 9, iter(failures))
+    assert stop.status == FAIL and stop.observed_constant is None
+    assert stop.witness == {"seed": 9, "case_index": 3}
+    counted = _scan_case("demo", "note", 9, iter(failures), count=True)
+    assert counted.observed_constant == 2.0
+    assert counted.witness == {"seed": 9, "case_index": 3}
+    extra = _scan_case("demo", "note", 9, iter([{"case_index": 3, "m": 2}, 5]))
+    assert extra.witness == {"seed": 9, "case_index": 3, "m": 2}
+    clean = _scan_case("demo", "note", 9, iter([]), count=True)
+    assert clean.status == PASS and clean.witness is None and clean.observed_constant == 0.0
+
+
+def test_scan_case_stops_drawing_after_first_failure():
+    checked = []
+
+    def failures():
+        for i in range(8):
+            checked.append(i)
+            if i in (3, 5):
+                yield i
+
+    assert _scan_case("demo", "note", 1, failures()).witness["case_index"] == 3
+    assert checked == [0, 1, 2, 3]
+    checked.clear()
+    _scan_case("demo", "note", 1, failures(), count=True)
+    assert checked == list(range(8))
 
 
 @pytest.mark.parametrize("name", sorted(OPTRANGE_SUBSUITES))

@@ -18,7 +18,6 @@ from calderon.sequences import (
     add_scaled,
     decreasing_rearrangement,
     dilate,
-    dilation,
     finite,
     harmonic_number,
     harmonic_numbers,
@@ -26,7 +25,6 @@ from calderon.sequences import (
     power_log,
     sequence_from_json,
     sequence_to_json,
-    tail_sum_over_k,
     weighted_tail_sum,
 )
 
@@ -192,10 +190,6 @@ def test_dilation_composition():
     assert dilate(dilate(mu, 2), 3).equals(dilate(mu, 6))
 
 
-def test_dilation_alias_is_same_function():
-    assert dilation is dilate
-
-
 def test_dilation_of_analytic_tail_requires_materialization():
     with pytest.raises(DomainMismatchError):
         dilate(decreasing_rearrangement(power_log(1.0, 0.0)), 2)
@@ -254,10 +248,6 @@ def test_weighted_tail_finite_exact():
     b = weighted_tail_sum(x, 1)
     assert b.halfwidth == 0.0
     assert b.mid == pytest.approx(2.0 / 2.0 + 1.0 / 3.0, rel=1e-15)
-
-
-def test_weighted_tail_alias():
-    assert tail_sum_over_k is weighted_tail_sum
 
 
 def test_weighted_tail_harmonic_telescopes_exactly():

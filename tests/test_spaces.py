@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
 from calderon.brackets import DivergentTailError
+from calderon.families import POWER_LOG_GRID
 from calderon.sequences import decreasing_rearrangement, finite, power_log
 from calderon.spaces import (
     LLOG,
@@ -116,11 +117,40 @@ def test_marcinkiewicz_matches_dense_oracle(vals):
 @settings(deadline=None, max_examples=50, derandomize=True)
 @given(finite_values)
 def test_sum_space_equals_sup_norm(vals):
-    # splitting at any height t costs at least mu(0):
-    # weak part >= (mu(0) - t) at index 0, so score >= mu(0), attained at t = mu(0)
+    # |y|_sup <= |y|_weak, so every split costs at least mu(0); x1 = 0 attains it
     expected = float(np.max(np.abs(np.asarray(vals))))
     got = sum_space_quasinorm(finite(vals))
-    assert got.value == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    assert got.value == expected
+    assert got.tail_halfwidth == 0.0
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=64),
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=64),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_sum_space_below_every_split(pairs):
+    # brute-force oracle for the infimum: any split x = x1 + x2, not only a
+    # truncation at some height, scores at least the returned value
+    a, b = (np.array(col) for col in zip(*pairs))
+    score = weak_l1_quasinorm(finite(a)).value + float(np.max(np.abs(b)))
+    assert score >= sum_space_quasinorm(finite(a + b)).value
+
+
+@pytest.mark.parametrize("alpha, beta", POWER_LOG_GRID)
+@pytest.mark.parametrize("scale", [1.0, 0.37, 2.5])
+def test_sum_space_of_power_log_is_mu0_exactly(alpha, beta, scale):
+    x = power_log(alpha, beta, scale)
+    got = sum_space_quasinorm(x)
+    assert got.value == decreasing_rearrangement(x).value_at(0)
+    assert got.value == float(np.max(np.abs(x.head(4096))))
+    assert got.tail_halfwidth == 0.0
 
 
 def test_lorentz_linear_phi_equals_l1():
