@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence as TySequence, Union
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .report import CaseResult, FAIL, PASS
 from .sequences import (
@@ -187,7 +187,13 @@ def _hilbert_finite_fast(vals: np.ndarray, s0: int, out_lo: int, out_hi: int) ->
     with np.errstate(divide="ignore"):
         g = 1.0 / ms
     g[ms == 0.0] = 0.0
-    conv = fftconvolve(vals, g)
+    if K == 1:
+        conv = vals[0] * g
+    else:
+        # zero-padded real-FFT linear convolution at the next fast length
+        n = K + len(g) - 1
+        nfft = sp_fft.next_fast_len(n, True)
+        conv = sp_fft.irfft(sp_fft.rfft(vals, nfft) * sp_fft.rfft(g, nfft), nfft)[:n]
     # full convolution index j corresponds to output index s0 + m_lo + j
     j0 = out_lo - (s0 + m_lo)
     return conv[j0 : j0 + (out_hi - out_lo + 1)] / PI
@@ -374,14 +380,13 @@ def estimate_hardy_constant(
 
 
 def fast_naive_agreement(x: FiniteSequence, halfwidth: int) -> float:
-    """Max relative deviation fast vs naive on the symmetric window, measured
-    only where |naive| > 1e-12."""
+    """Normwise deviation max|naive - fast| / max|naive| on the symmetric
+    window (0 when the naive output vanishes).  The FFT route's rounding error
+    is bounded normwise, so a pointwise ratio would blow up near zeros of H x."""
     a = hilbert_symmetric(x, halfwidth, METHOD_NAIVE).window_values
     b = hilbert_symmetric(x, halfwidth, METHOD_FAST).window_values
-    mask = np.abs(a) > 1e-12
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(a[mask] - b[mask]) / np.abs(a[mask])))
+    scale = float(np.max(np.abs(a)))
+    return float(np.max(np.abs(a - b))) / scale if scale > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -412,13 +417,11 @@ def bench_hilbert(
         x = FiniteSequence(IndexDomain.LINE, 0, vals)
         half = min(size, out_cap)
         t0 = time.perf_counter()
-        a = hilbert_symmetric(x, half, METHOD_NAIVE).window_values
+        hilbert_symmetric(x, half, METHOD_NAIVE)
         t1 = time.perf_counter()
-        b = hilbert_symmetric(x, half, METHOD_FAST).window_values
+        hilbert_symmetric(x, half, METHOD_FAST)
         t2 = time.perf_counter()
-        mask = np.abs(a) > 1e-12
-        dev = float(np.max(np.abs(a[mask] - b[mask]) / np.abs(a[mask]))) if np.any(mask) else 0.0
-        rows.append(BenchRow(size, t1 - t0, t2 - t1, dev))
+        rows.append(BenchRow(size, t1 - t0, t2 - t1, fast_naive_agreement(x, half)))
     return rows
 
 

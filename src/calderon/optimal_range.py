@@ -118,14 +118,16 @@ class FNormEstimate:
         }
 
 
+TRUNCATION_LEVELS = (16, 256, 4096)
+GENERATORS = ((1.25, 0.0), (1.5, 0.0), (2.0, 0.0), (1.5, 1.0))
+
+
 @dataclass(frozen=True)
 class GridConfig:
-    """Witness-shape search configuration.  Enlarging any component only adds
-    candidates, so a finer grid never increases the upper estimate."""
+    """Witness-shape search configuration: the certificate window on which
+    every candidate is scaled and checked (at least 16)."""
 
     window: int = 1 << 14
-    truncation_levels: tuple = (16, 256, 4096)
-    generators: tuple = ((1.25, 0.0), (1.5, 0.0), (2.0, 0.0), (1.5, 1.0))
 
     def __post_init__(self):
         if self.window < 16:
@@ -220,9 +222,7 @@ def check_domination(
     mu_y = decreasing_rearrangement(y)
     s = calderon(mu_y, window)
     rhs = s.window_values + s.tail_halfwidth_per_index
-    head = _mu_head(mu_x, window)
-    lhs = np.zeros(window)
-    lhs[: len(head)] = head[:window]
+    lhs = mu_x.head(window)  # zero past a finite support
     slack = tol * np.maximum(1.0, np.abs(rhs))
     bad = np.nonzero(lhs > rhs + slack)[0]
     window_verified = bad.size == 0
@@ -268,9 +268,7 @@ def _candidate_scale(
         s_lo = out.window_values - out.tail_halfwidth_per_index
         if float(np.min(s_lo)) <= 0.0:
             return math.inf, "witness image not positive on window"
-    head = _mu_head(mu_x, window)
-    lhs = np.zeros(window)
-    lhs[: len(head)] = head[:window]
+    lhs = mu_x.head(window)  # zero past a finite support
     window_scale = float(np.max(lhs / s_lo)) if window else 0.0
     if mu_x.tail.is_zero and len(mu_x.values) <= window:
         return window_scale, TAIL_FINITE_SUPPORT
@@ -304,7 +302,8 @@ def f_norm_upper(
     genuinely outside F), otherwise the search is merely inconclusive.
     """
     window = search.window
-    if E.kind == "weak_l1" and not weak_l1_membership(x, window).member:
+    member = weak_l1_membership(x, window) if E.kind == "weak_l1" else None
+    if member is not None and not member.member:
         # certified before any head resolution: no witness can dominate x
         raise NoWitnessFoundError(
             "no witness exists: c_a(x) diverges, x is outside the range space"
@@ -315,20 +314,19 @@ def f_norm_upper(
             x=x, y=finite(()), window=window, window_verified=True,
             tail_argument=TAIL_FINITE_SUPPORT, tail_ok=True,
         )
-        return FNormEstimate(0.0, 0.0 if E.kind == "weak_l1" else None, cert)
+        return FNormEstimate(0.0, None if member is None else 0.0, cert)
 
+    # Each distinct shape once: a truncation that reaches the whole finite
+    # support is mu(x) itself, kept as a finite shape so the witness stays one.
     shapes: list[MuLike] = [power_log(1.0, 0.0)]
-    for alpha, beta in search.generators:
-        shapes.append(power_log(alpha, beta))
-    head_len = len(mu_x.values)
-    for L in search.truncation_levels:
-        L = min(L, window)
-        if mu_x.tail.is_zero and L >= head_len and head_len > 0:
-            L = head_len
-        trunc = finite(mu_x.head(L))
-        if not trunc.is_zero:
-            shapes.append(trunc)
-    shapes.append(mu_x)
+    shapes += [power_log(alpha, beta) for alpha, beta in GENERATORS]
+    for L in sorted({min(L, window) for L in TRUNCATION_LEVELS}):
+        if mu_x.tail.is_zero and L >= len(mu_x.values):
+            shapes.append(finite(mu_x.values))
+            break
+        shapes.append(finite(mu_x.head(L)))
+    else:
+        shapes.append(mu_x)
 
     best: Optional[tuple[float, MuLike, str]] = None
     reasons = []
@@ -341,28 +339,19 @@ def f_norm_upper(
         try:
             e_norm = space_norm(E, y, window).value
         except (DivergentTailError, TailToleranceError):
-            reasons.append("witness outside E")
-            continue
+            e_norm = math.inf
         if math.isinf(e_norm):
             reasons.append("witness outside E")
             continue
         if best is None or e_norm < best[0]:
             best = (e_norm, y, tail_argument)
     if best is None:
-        member = weak_l1_membership(mu_x, window)
-        if E.kind == "weak_l1" and not member.member:
-            raise NoWitnessFoundError(
-                "no witness exists: c_a(x) diverges, x is outside the range space"
-            )
         raise NoWitnessFoundError(
             f"no candidate witness certifies (inconclusive): {sorted(set(reasons))}"
         )
     upper, y, tail_argument = best
     cert = check_domination(mu_x, y, window)
-    lower = None
-    if E.kind == "weak_l1":
-        member = weak_l1_membership(mu_x, window)
-        lower = min(member.c_a * LOG2 / 2.0, upper)
+    lower = None if member is None else min(member.c_a * LOG2 / 2.0, upper)
     return FNormEstimate(upper, lower, cert)
 
 
@@ -373,13 +362,10 @@ def f_norm_upper(
 def c_star(x: MuLike, window: int = 1 << 14) -> float:
     """Optimal harmonic-witness scale sup_n mu(n, x)(n+1)/(H_{n+1}+1) on the
     window (exact for finite supports living inside the window)."""
-    mu = decreasing_rearrangement(x)
-    head = _mu_head(mu, window)
+    head = _mu_head(decreasing_rearrangement(x), window)
     if len(head) == 0:
         return 0.0
-    ns = np.arange(len(head), dtype=np.float64)
-    closed = (harmonic_numbers(len(head)) + 1.0) / (ns + 1.0)
-    return float(np.max(head / closed))
+    return float(np.max(head / _harmonic_calderon_window(len(head))))
 
 
 def verify_f_quasitriangle(
@@ -451,40 +437,38 @@ def verify_minimality(
     witness list, with C the empirical operator constant over the same
     witnesses together with the members' own best witnesses.
     """
-    harmonic = power_log(1.0, 0.0)
+    def image(y: MuLike) -> np.ndarray:
+        return calderon(decreasing_rearrangement(y), member_window).window_values
+
+    harmonic_img = _harmonic_calderon_window(window)
+    denom = space_norm(E, power_log(1.0, 0.0), window).value
+    # G-independent: the members with their F estimates, and the images and
+    # E-norms of the witnesses extended by the members' own certifying
+    # witnesses (which guarantees containment)
+    members = [finite(image(y)) for y in witnesses]
+    estimates = [f_norm_upper(x, E, search) for x in members]
+    pool = []
+    for y in list(witnesses) + [est.witness.y for est in estimates]:
+        denom_y = space_norm(E, y, window).value
+        if denom_y != 0.0 and not math.isinf(denom_y):
+            pool.append((image(y), denom_y))
     probes = []
     for G in catalog:
-        s_img = _harmonic_calderon_window(window)
-        denom = space_norm(E, harmonic, window).value
-        g_full = _windowed_g_norm(G, s_img) / denom
-        g_half = _windowed_g_norm(G, s_img[: window // 2]) / denom
+        g_full = _windowed_g_norm(G, harmonic_img) / denom
+        g_half = _windowed_g_norm(G, harmonic_img[: window // 2]) / denom
         unbounded = (g_full > UNBOUNDED_SUP_THRESHOLD) or (
             g_full - g_half >= UNBOUNDED_DRIFT_THRESHOLD
         )
         if unbounded:
             probes.append(MinimalityProbe(G.label, g_full, g_half, True, None, None))
             continue
-        # empirical operator constant over witnesses (later extended by the
-        # members' own certifying witnesses, which guarantees containment)
-        pool = list(witnesses)
-        members = []
-        for y in witnesses:
-            img = calderon(decreasing_rearrangement(y), member_window).window_values
-            x_member = finite(img)
-            est = f_norm_upper(x_member, E, search)
-            members.append((x_member, est.upper))
-            pool.append(est.witness.y)
         C = 0.0
-        for y in pool:
-            denom_y = space_norm(E, y, window).value
-            if denom_y == 0.0 or math.isinf(denom_y):
-                continue
-            img = calderon(decreasing_rearrangement(y), member_window).window_values
+        for img, denom_y in pool:
             C = max(C, _windowed_g_norm(G, img) / denom_y)
         bad = 0
-        for x_member, f_up in members:
+        for x_member, est in zip(members, estimates):
             gx = _windowed_g_norm(G, x_member.values)
-            if gx > C * f_up * (1.0 + 1e-9) + 1e-300:
+            if gx > C * est.upper * (1.0 + 1e-9) + 1e-300:
                 bad += 1
         probes.append(MinimalityProbe(G.label, g_full, g_half, False, C, bad))
     return probes

@@ -179,14 +179,17 @@ MuLike = Union[Sequence, Rearrangement]
 
 
 def lp_norm(x: MuLike, p: float, window: int = 65536, tol: float = 1e-10) -> NormValue:
-    """(sum |x(n)|^p)^(1/p) with certified tail bracket."""
+    """(sum |x(n)|^p)^(1/p) with certified tail bracket; finite supports as
+    mu(0) (sum (mu(n)/mu(0))^p)^(1/p), which cannot overflow."""
     if not p >= 1:
         raise ValueError("lp norm needs p >= 1")
     mu = decreasing_rearrangement(x)
     head = mu.values
-    head_sum = float(np.sum(np.asarray(head, dtype=np.longdouble) ** p))
     if mu.tail.is_zero:
-        return NormValue(head_sum ** (1.0 / p), 0.0, max(window, len(head)))
+        m0 = float(head[0]) if len(head) else 1.0
+        ratio_sum = float(np.sum((np.asarray(head, dtype=np.longdouble) / m0) ** p))
+        return NormValue(m0 * ratio_sum ** (1.0 / p), 0.0, max(window, len(head)))
+    head_sum = float(np.sum(np.asarray(head, dtype=np.longdouble) ** p))
     t = mu.tail
     if t.alpha * p <= 1.0:
         raise DivergentTailError(
@@ -314,10 +317,14 @@ def marcinkiewicz_norm(x: MuLike, window: int = 65536) -> NormValue:
     window_sup = float(np.max(csum / np.log(2.0 + ns)))
     head_total = float(csum[-1])
     if t.alpha > 1.0:
-        # whole remaining tail mass, bracketed
-        _, rem = choose_tail_start(t.alpha, t.beta, W, tol=max(1e-9, 1e-6 * head_total))
+        # whole remaining mass: the explicit sum over [W, start) plus the
+        # bracketed tail from start
+        start, rem = choose_tail_start(
+            t.alpha, t.beta, max(W, len(mu.values)), tol=max(1e-9, 1e-6 * head_total)
+        )
         rem = rem.scaled(t.scale) if t.scale != 1.0 else rem
-        beyond = (head_total + rem.hi) / math.log(2.0 + W)
+        gap = float(np.sum(np.asarray(mu.head(start)[W:], dtype=np.longdouble)))
+        beyond = (head_total + gap + rem.hi) / math.log(2.0 + W)
     else:
         # alpha = 1, beta = 0: partial sums are scale*(H at the index) up to the
         # head/profile offset; H_{n+1} <= log(n+2) + gamma + 1 bounds the ratio.

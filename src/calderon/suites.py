@@ -563,7 +563,8 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
             "hilbert_fast_matches_naive",
             dev <= config.tolerance_fast,
             dev,
-            "max relative deviation between direct-sum and convolution routes, support 4096",
+            "normwise deviation max|naive-fast|/max|naive| between direct-sum and "
+            "convolution routes, support 4096",
         )
     )
 

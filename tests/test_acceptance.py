@@ -8,6 +8,7 @@ lines stream).  Criteria with runtime budgets assert wall-clock bounds.
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from calderon.spaces import M1INF, WEAK_L1, axiom_check, weak_l1_quasinorm
 from calderon.suites import _mixed_membership_family
 
 SEED = 1
+REPORT_SEED1 = Path(__file__).parent / "data" / "verify_all_seed1.json"
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -250,9 +252,13 @@ def test_criterion_12_full_suite_determinism(tmp_path):
     code2 = cli.main(["verify", "--suite", "all", "--seed", "1", "--out", str(p2)])
     elapsed = time.monotonic() - t0
     identical = p1.read_bytes() == p2.read_bytes()
-    ok = code1 == 0 and code2 == 0 and identical and elapsed / 2.0 <= 300.0
+    # the behavioural contract: any change to these bytes must be explained
+    committed = p1.read_bytes() == REPORT_SEED1.read_bytes()
+    ok = code1 == 0 and code2 == 0 and identical and committed and elapsed / 2.0 <= 300.0
     _line(12, ok, f"two runs exit (0, 0) -> ({code1}, {code2}), byte-identical: "
-                  f"{identical}, {elapsed / 2.0:.1f}s per run <= 300s")
+                  f"{identical}, equal to {REPORT_SEED1.name}: {committed}, "
+                  f"{elapsed / 2.0:.1f}s per run <= 300s")
     assert code1 == 0 and code2 == 0
     assert identical
+    assert committed
     assert elapsed / 2.0 <= 300.0

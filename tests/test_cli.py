@@ -153,6 +153,16 @@ def test_norm_shorthand_spaces(capsys, impulse_file):
     assert code == 0 and doc["value"] == 1.0
 
 
+def test_norm_lp_of_values_near_the_largest_double(capsys, tmp_path):
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(
+        {"kind": "finite", "domain": "half_line", "offset": 0, "values": [1e308] * 3}
+    ))
+    code, doc = run_json(capsys, ["norm", "--in", str(p), "--space", "lp:2"])
+    assert code == 0
+    assert doc["value"] == pytest.approx(1e308 * math.sqrt(3.0), rel=1e-15)
+
+
 def test_norm_space_file(capsys, impulse_file, tmp_path):
     sp = tmp_path / "space.json"
     sp.write_text(json.dumps({"space": "lp", "p": 3.0}))

@@ -35,7 +35,7 @@ from calderon.sequences import (
 )
 from calderon.spaces import LLOG, M1INF, WEAK_L1, axiom_check, lp_space, space_norm
 
-SMALL_GRID = GridConfig(window=1 << 10, truncation_levels=(16, 128), generators=((1.5, 0.0), (2.0, 0.0)))
+SMALL_GRID = GridConfig(window=1 << 10)
 
 finite_values = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False, width=64),

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import zeta
 
 from calderon.brackets import DivergentTailError
@@ -59,8 +59,13 @@ def _mu_vals(vals):
 
 @settings(deadline=None, max_examples=50, derandomize=True)
 @given(finite_values, st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+@example([1.8933327381315067e-227], 1.5)
 def test_lp_norm_matches_dense_oracle(vals, p):
-    expected = float(np.sum(np.abs(np.asarray(vals)) ** p) ** (1.0 / p))
+    # the dense sum at an exact power-of-two scale, so that tiny values such
+    # as 1.9e-227 (whose 1.5th power underflows) keep their norm
+    mag = np.abs(np.asarray(vals))
+    e = math.frexp(float(mag.max()))[1]
+    expected = math.ldexp(float(np.sum(np.ldexp(mag, -e) ** p) ** (1.0 / p)), e)
     got = lp_norm(finite(vals), p)
     assert got.tail_halfwidth == 0.0
     assert got.value == pytest.approx(expected, rel=1e-12, abs=1e-300)
@@ -247,6 +252,45 @@ def test_marcinkiewicz_infinite_for_log_profile():
 def test_marcinkiewicz_finite_above_alpha_one():
     got = marcinkiewicz_norm(power_log(1.5, 0.0))
     assert not got.is_infinite
+
+
+def test_marcinkiewicz_upper_end_counts_the_mass_between_window_and_tail_start():
+    # for n beyond the window the ratio is at most the whole mass over
+    # log(2 + W); for alpha = 1.01 that mass is zeta(1.01)
+    got = marcinkiewicz_norm(power_log(1.01, 0.0), window=16)
+    assert got.value + got.tail_halfwidth >= zeta(1.01) / math.log(18.0)
+
+
+def _brute_marcinkiewicz_sup(alpha, beta, n_max=1 << 24, chunk=1 << 20):
+    """max over n < n_max of (sum_{k<=n} mu(k)) / log(2+n), from the profile
+    values in chunks: past the first 1024 indices the profile is decreasing
+    and below all of them, so sorting the first chunk rearranges the prefix."""
+    best, carry = 0.0, 0.0
+    for k0 in range(0, n_max, chunk):
+        ks = np.arange(k0, k0 + chunk, dtype=np.float64)
+        vals = np.log(ks + 2.0) ** beta / (ks + 1.0) ** alpha
+        if k0 == 0:
+            assert vals[1024] <= vals[:1024].min() and np.all(np.diff(vals[1024:]) <= 0)
+            vals[:1024] = np.sort(vals[:1024])[::-1]
+        csum = carry + np.cumsum(vals)
+        best = max(best, float(np.max(csum / np.log(ks + 2.0))))
+        carry = float(csum[-1])
+    return best
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.1, 1.0), (1.2, 1.0), (1.05, 2.0)])
+def test_marcinkiewicz_bracket_contains_brute_force_sup(alpha, beta):
+    brute = _brute_marcinkiewicz_sup(alpha, beta)
+    for window in (16, 256, 4096):
+        got = marcinkiewicz_norm(power_log(alpha, beta), window=window)
+        assert got.value - got.tail_halfwidth <= brute * (1.0 + 1e-9)
+        assert brute <= (got.value + got.tail_halfwidth) * (1.0 + 1e-9)
+
+
+def test_lp_norm_of_values_near_the_largest_double_is_finite():
+    got = lp_norm(finite([1e308, 1e308, 1e308]), 2.0)
+    assert got.value == pytest.approx(1e308 * math.sqrt(3.0), rel=1e-15)
+    assert got.tail_halfwidth == 0.0
 
 
 def test_lp_divergent_tail_raises():
