@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 all requested checks passed (or pure computation succeeded),
-1 at least one check failed or a computation could not certify a result,
-2 usage errors.  All verification output is deterministic in (seed, config);
+1 at least one check failed or a computation could not certify a result
+(any ArithmeticError, overflow included, or an unresolvable head), 2 usage
+errors.  All verification output is deterministic in (seed, config);
 wall-clock timing appears only under the `bench` subcommand.
 """
 
@@ -18,7 +19,6 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .brackets import DivergentTailError, TailToleranceError
 from .families import FAMILY_KINDS, generate_family
 from .operators import (
     METHOD_FAST,
@@ -455,7 +455,7 @@ def main(argv: Optional[list] = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (DivergentTailError, TailToleranceError, HeadResolutionError) as e:
+    except (ArithmeticError, HeadResolutionError) as e:
         print(f"computation could not certify a result: {e}", file=sys.stderr)
         return 1
     except ValueError as e:

@@ -48,6 +48,11 @@ PI = math.pi
 METHOD_NAIVE = "naive"
 METHOD_FAST = "fast_convolution"
 
+KERNEL_BLOCK = 1 << 24  # entries per row block of a dense kernel
+MIN_KERNEL_LIMIT = 1 << 30
+HARDY_OUT_WINDOW = 2048
+BENCH_OUT_CAP = 1 << 13
+
 
 @dataclass(frozen=True)
 class OperatorOutput:
@@ -128,29 +133,30 @@ def calderon(x: SType, window: int) -> OperatorOutput:
 
 def calderon_min_kernel(x: SType, window: int) -> OperatorOutput:
     """Kernel-product evaluation of S on [0, window): independent cross-check
-    of `calderon` via the explicit min(1/k, 1/(n+1)) kernel."""
+    of `calderon` via the explicit min(1/k, 1/(n+1)) kernel, built in row
+    blocks; ValueError when the window x K kernel exceeds MIN_KERNEL_LIMIT
+    entries or a single row exceeds KERNEL_BLOCK."""
     if window < 1:
         raise ValueError("window must be positive")
-    if isinstance(x, FiniteSequence):
-        if x.domain is not IndexDomain.HALF_LINE:
-            raise DomainMismatchError("S acts on half-line sequences")
-        K = max(x.end, 1)
-        dense = x.dense(0, K)
-        beyond_mid = beyond_hw = 0.0
-    else:
-        K = max(4 * window, 4096)
-        dense, beyond_mid, beyond_hw = _half_line_window(x, K)
-    with np.errstate(divide="ignore"):
-        invk = 1.0 / np.arange(K, dtype=np.float64)  # inf at k = 0
-    invn = 1.0 / (np.arange(window, dtype=np.float64) + 1.0)
-    kernel = np.minimum(invk[None, :], invn[:, None])
-    values = kernel @ dense + beyond_mid
+    K = max(x.end, 1) if isinstance(x, FiniteSequence) else max(4 * window, 4096)
+    if window * K > MIN_KERNEL_LIMIT or K > KERNEL_BLOCK:
+        raise ValueError(f"min-kernel of {window} x {K} entries exceeds the size limit 2^30 (2^24 per row)")
+    # a finite x ends by K, so its window carries no beyond-K tail
+    dense, beyond_mid, beyond_hw = _half_line_window(x, K)
+    ks = np.arange(K, dtype=np.float64)
+    values = np.empty(window, dtype=np.float64)
+    block = KERNEL_BLOCK // K
+    for b0 in range(0, window, block):
+        ns = np.arange(b0, min(b0 + block, window), dtype=np.float64)
+        values[b0 : b0 + len(ns)] = kernel_values(ns[:, None], ks) @ dense
+    values += beyond_mid
     hw = np.full(window, float(beyond_hw))
     return OperatorOutput(0, values, hw, METHOD_NAIVE)
 
 
-def kernel_values(n: int, ks: np.ndarray) -> np.ndarray:
-    """The S kernel at row n: min(1/k, 1/(n+1)), with the k = 0 limit 1/(n+1)."""
+def kernel_values(n, ks: np.ndarray) -> np.ndarray:
+    """The S kernel at row n: min(1/k, 1/(n+1)), with the k = 0 limit 1/(n+1).
+    n may be a column of rows, giving one kernel row per entry."""
     ks = np.asarray(ks, dtype=np.float64)
     with np.errstate(divide="ignore"):
         invk = np.where(ks > 0, 1.0 / np.maximum(ks, 1e-300), np.inf)
@@ -165,7 +171,7 @@ def _hilbert_finite_naive(vals: np.ndarray, s0: int, out_lo: int, out_hi: int) -
     K = len(vals)
     n_out = out_hi - out_lo + 1
     out = np.empty(n_out, dtype=np.float64)
-    block = max(1, (1 << 24) // max(K, 1))
+    block = max(1, KERNEL_BLOCK // max(K, 1))
     ks = s0 + np.arange(K, dtype=np.float64)
     for b0 in range(0, n_out, block):
         b1 = min(b0 + block, n_out)
@@ -353,10 +359,9 @@ def estimate_weak11_constant(
     return Weak11Estimate(sups[0], sups[1], window)
 
 
-def estimate_hardy_constant(
-    p: float, family: TySequence[FiniteSequence], out_window: int = 2048
-) -> CaseResult:
-    """Empirical sup of |S x|_p / |x|_p against the classical bound p + p/(p-1)."""
+def estimate_hardy_constant(p: float, family: TySequence[FiniteSequence]) -> CaseResult:
+    """Empirical sup of |S x|_p / |x|_p against the classical bound p + p/(p-1),
+    with |S x|_p read on [0, HARDY_OUT_WINDOW)."""
     from .spaces import lp_norm
 
     if not p > 1:
@@ -367,7 +372,7 @@ def estimate_hardy_constant(
         denom = lp_norm(x, p).value
         if denom == 0.0:
             continue
-        sx = calderon(x, out_window)
+        sx = calderon(x, HARDY_OUT_WINDOW)
         num = float(np.sum(np.abs(sx.window_values.astype(np.longdouble)) ** p)) ** (1.0 / p)
         worst = max(worst, num / denom)
     ok = worst <= bound + 1e-6
@@ -401,11 +406,9 @@ class BenchRow:
         return self.naive_seconds / self.fast_seconds if self.fast_seconds > 0 else math.inf
 
 
-def bench_hilbert(
-    sizes: TySequence[int], seed: int = 1, out_cap: int = 1 << 13
-) -> list[BenchRow]:
+def bench_hilbert(sizes: TySequence[int], seed: int = 1) -> list[BenchRow]:
     """Wall-time comparison of the two H routes on random signed inputs of the
-    given support sizes, on the symmetric window [-min(size, out_cap), ...]."""
+    given support sizes, on the symmetric window [-min(size, BENCH_OUT_CAP), ...]."""
     from .families import family_rng
 
     rows = []
@@ -415,7 +418,7 @@ def bench_hilbert(
         rng = family_rng("bench", seed, size)
         vals = rng.standard_normal(size)
         x = FiniteSequence(IndexDomain.LINE, 0, vals)
-        half = min(size, out_cap)
+        half = min(size, BENCH_OUT_CAP)
         t0 = time.perf_counter()
         hilbert_symmetric(x, half, METHOD_NAIVE)
         t1 = time.perf_counter()

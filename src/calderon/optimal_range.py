@@ -51,6 +51,9 @@ TAIL_ANALYTIC = "analytic_comparison"
 
 LOG2 = math.log(2.0)
 
+DOMINATION_TOL = 1e-12  # relative slack of check_domination, window and tail
+QUASITRIANGLE_TOL = 1e-9
+
 
 class NoWitnessFoundError(RuntimeError):
     """No candidate witness certifies; x may still lie in F (inconclusive)
@@ -164,7 +167,8 @@ class MembershipResult:
 
 
 def weak_l1_membership(x: MuLike, window: int = 1 << 14) -> MembershipResult:
-    """c_a(x) = sup_n mu(n, x)(n+1)/log(n+2); member iff finite."""
+    """c_a(x) = sup_n mu(n, x)(n+1)/log(n+2); member iff finite.  A window
+    sup beyond the double range raises OverflowError (inf means divergence)."""
     if isinstance(x, PowerLogSequence):
         # the rearrangement keeps the profile's own tail, so divergence of
         # c_a is decided by the tail alone -- no head resolution needed
@@ -178,7 +182,10 @@ def weak_l1_membership(x: MuLike, window: int = 1 << 14) -> MembershipResult:
     if W == 0 and mu.tail.is_zero:
         return MembershipResult(True, 0.0)
     ns = np.arange(W, dtype=np.float64)
-    window_sup = float(np.max(head * (ns + 1.0) / np.log(ns + 2.0))) if W else 0.0
+    with np.errstate(over="ignore"):
+        window_sup = float(np.max(head * (ns + 1.0) / np.log(ns + 2.0))) if W else 0.0
+    if math.isinf(window_sup):
+        raise OverflowError("c_a over the window exceeds the double range")
     if mu.tail.is_zero:
         return MembershipResult(True, window_sup)
     t = mu.tail
@@ -214,16 +221,14 @@ def _tail_ratio_sup(mu_x: Rearrangement, y: MuLike, window: int, partial_sum: fl
     return min(sups) if sups else math.inf
 
 
-def check_domination(
-    x: MuLike, y: MuLike, window: int, tol: float = 1e-12
-) -> DominationCertificate:
+def check_domination(x: MuLike, y: MuLike, window: int) -> DominationCertificate:
     """Verify mu(x) <= S mu(y) on the window and close the tail analytically."""
     mu_x = decreasing_rearrangement(x)
     mu_y = decreasing_rearrangement(y)
     s = calderon(mu_y, window)
     rhs = s.window_values + s.tail_halfwidth_per_index
     lhs = mu_x.head(window)  # zero past a finite support
-    slack = tol * np.maximum(1.0, np.abs(rhs))
+    slack = DOMINATION_TOL * np.maximum(1.0, np.abs(rhs))
     bad = np.nonzero(lhs > rhs + slack)[0]
     window_verified = bad.size == 0
     first_violation = int(bad[0]) if bad.size else None
@@ -233,7 +238,7 @@ def check_domination(
     else:
         tail_argument = TAIL_ANALYTIC
         partial = float(np.sum(np.asarray(_mu_head(mu_y, window), dtype=np.longdouble)))
-        tail_ok = _tail_ratio_sup(mu_x, y, window, partial) <= 1.0 + tol
+        tail_ok = _tail_ratio_sup(mu_x, y, window, partial) <= 1.0 + DOMINATION_TOL
     return DominationCertificate(
         x=x,
         y=y,
@@ -373,7 +378,6 @@ def verify_f_quasitriangle(
     pairs: TySequence[tuple[FiniteSequence, FiniteSequence]],
     c_E: float,
     search: GridConfig = DEFAULT_GRID,
-    tol: float = 1e-9,
 ) -> CaseResult:
     """f(x1+x2) <= 2 c_E^2 (f(x1) + f(x2)) over the given pairs."""
     from .sequences import add_scaled
@@ -390,7 +394,7 @@ def verify_f_quasitriangle(
             ratio = 0.0 if ok else math.inf
         else:
             ratio = f12 / bound
-            ok = f12 <= bound * (1.0 + tol)
+            ok = f12 <= bound * (1.0 + QUASITRIANGLE_TOL)
         worst = max(worst, ratio)
         violations += not ok
     return CaseResult(

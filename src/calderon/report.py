@@ -29,7 +29,6 @@ class RunConfig:
     trials: int = 200
     tolerance_exact: float = 1e-12
     tolerance_fast: float = 1e-9
-    output_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.window < 16:
@@ -42,7 +41,7 @@ class RunConfig:
             raise ValueError("trials must be positive")
 
     def environment_echo(self) -> dict:
-        """Numeric configuration only; output paths never enter reports."""
+        """The configuration, echoed into every report."""
         return {
             "seed": self.seed,
             "window": self.window,

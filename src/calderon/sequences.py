@@ -22,12 +22,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Union
 
 import numpy as np
 
-from .brackets import Bracket, ZERO_BRACKET, TailToleranceError, choose_tail_start
+from .brackets import (
+    TAIL_TOL,
+    Bracket,
+    ZERO_BRACKET,
+    TailToleranceError,
+    choose_tail_start,
+    explicit_sum,
+    powerlog_profile,
+)
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -132,8 +140,7 @@ class PowerLogSequence:
         return self.alpha == 1.0 and self.beta == 0.0
 
     def values_at(self, k) -> np.ndarray:
-        k = np.asarray(k, dtype=np.float64)
-        return self.scale * np.log(k + 2.0) ** self.beta / (k + 1.0) ** self.alpha
+        return powerlog_profile(k, self.alpha, self.beta, self.scale)
 
     def value_at(self, k: int) -> float:
         return float(self.values_at(np.float64(k)))
@@ -394,17 +401,17 @@ def materialize(x: Union[Sequence, Rearrangement], n: int) -> FiniteSequence:
 # weighted tail sums  sum_{k > n} x(k)/k
 
 
-def weighted_tail_sum(
-    x: Union[Sequence, Rearrangement],
-    n: int,
-    tol: float = 1e-10,
-    cap: int = 2 ** 24,
-) -> Bracket:
+def _over_k(v, ks):
+    return v / ks
+
+
+def weighted_tail_sum(x: Union[Sequence, Rearrangement], n: int) -> Bracket:
     """Certified value of sum_{k=n+1}^inf x(k)/k.
 
     Exact for finite supports.  For power-log data the harmonic profile
     telescopes to scale/(n+1); otherwise an explicit window is summed and the
-    remainder bracketed, extending the window until the half-width meets tol.
+    remainder bracketed, extending the window until the half-width meets
+    TAIL_TOL (TailToleranceError when the start cap comes first).
     """
     if n < 0:
         raise ValueError("tail sums start at n >= 0")
@@ -412,36 +419,23 @@ def weighted_tail_sum(
         if x.domain is not IndexDomain.HALF_LINE:
             raise DomainMismatchError("weighted tail sums live on the half line")
         a = max(n + 1, x.offset, 1)
-        if a >= x.end:
-            return ZERO_BRACKET
-        ks = np.arange(a, x.end, dtype=np.float64)
-        vals = x.values[a - x.offset :]
-        total = float(np.sum(np.asarray(vals, dtype=np.longdouble) / ks))
+        total = explicit_sum(lambda ks: x.values[a - x.offset :], a, x.end, _over_k)
         return Bracket(total, total)
     if isinstance(x, PowerLogSequence):
-        return _powerlog_weighted_tail(x, n, tol, cap)
+        return _powerlog_weighted_tail(x, n)
     if isinstance(x, Rearrangement):
         W = len(x.values)
-        head_part = ZERO_BRACKET
         a = max(n + 1, 1)
-        if a < W:
-            ks = np.arange(a, W, dtype=np.float64)
-            t = float(np.sum(np.asarray(x.values[a:], dtype=np.longdouble) / ks))
-            head_part = Bracket(t, t)
+        t = explicit_sum(lambda ks: x.values[a:], a, W, _over_k)
+        head_part = Bracket(t, t)
         if x.tail.is_zero:
             return head_part
-        beyond = _powerlog_weighted_tail(x.tail, max(n, W - 1), tol, cap, floor_start=W)
+        beyond = _powerlog_weighted_tail(x.tail, max(n, W - 1), floor_start=W)
         return head_part + beyond
     raise TypeError(f"not a sequence: {type(x)!r}")
 
 
-def _powerlog_weighted_tail(
-    x: PowerLogSequence,
-    n: int,
-    tol: float,
-    cap: int,
-    floor_start: int | None = None,
-) -> Bracket:
+def _powerlog_weighted_tail(x: PowerLogSequence, n: int, floor_start: int | None = None) -> Bracket:
     alpha, beta = x.alpha, x.beta
     s = abs(x.scale)
     sign = 1.0 if x.scale >= 0 else -1.0
@@ -452,18 +446,13 @@ def _powerlog_weighted_tail(
         # sum_{k >= first} 1/(k(k+1)) telescopes to 1/first
         val = sign * s / first
         return Bracket(val, val)
-    start, rem = choose_tail_start(
-        alpha, beta, first, tol, harmonic_weight=True, scale=s, cap=cap
-    )
-    if rem.halfwidth > tol:
+    # checked before the explicit sum, which at the cap runs over 2^24 terms
+    start, rem = choose_tail_start(alpha, beta, first, TAIL_TOL, harmonic_weight=True, scale=s)
+    if rem.halfwidth > TAIL_TOL:
         raise TailToleranceError(
-            f"tail half-width {rem.halfwidth:.3e} above tolerance {tol:.3e} at cap"
+            f"tail half-width {rem.halfwidth:.3e} above tolerance {TAIL_TOL:.3e} at cap"
         )
-    partial = 0.0
-    if start > first:
-        ks = np.arange(first, start, dtype=np.float64)
-        vals = np.abs(x.values_at(ks))
-        partial = float(np.sum(np.asarray(vals, dtype=np.longdouble) / ks))
+    partial = explicit_sum(lambda ks: np.abs(x.values_at(ks)), first, start, _over_k)
     out = rem.shifted(partial)
     if sign < 0:
         return Bracket(-out.hi, -out.lo)
@@ -474,15 +463,24 @@ def _powerlog_weighted_tail(
 # harmonic numbers (exact small, asymptotic large)
 
 
+@cache
+def _harmonic_table() -> tuple:
+    """(H_0, ..., H_4096): the exact sums of the doubles 1/j rounded once,
+    which is what math.fsum returns."""
+    from fractions import Fraction
+    from itertools import accumulate
+
+    terms = (Fraction(1.0 / j) for j in range(1, 4097))
+    return tuple(float(h) for h in accumulate(terms, initial=Fraction(0)))
+
+
 def harmonic_number(m: int) -> float:
     """H_m = sum_{j=1}^m 1/j; asymptotic expansion beyond 4096 terms
     (remainder below 1/(252 m**6), far under double precision there)."""
     if m < 0:
         raise ValueError("harmonic numbers need m >= 0")
-    if m == 0:
-        return 0.0
     if m <= 4096:
-        return float(math.fsum(1.0 / j for j in range(1, m + 1)))
+        return _harmonic_table()[m]
     fm = float(m)
     return (
         math.log(fm)

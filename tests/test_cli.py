@@ -31,6 +31,15 @@ def log_sq_profile_file(tmp_path):
 
 
 @pytest.fixture()
+def big_file(tmp_path):
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(
+        {"kind": "finite", "domain": "half_line", "offset": 0, "values": [1e308] * 3}
+    ))
+    return str(p)
+
+
+@pytest.fixture()
 def signed_file(tmp_path):
     p = tmp_path / "signed.json"
     p.write_text(
@@ -101,6 +110,12 @@ def test_calderon_min_kernel_route(capsys, impulse_file):
         assert va == pytest.approx(vb, rel=1e-11, abs=1e-11)
 
 
+def test_min_kernel_beyond_size_limit_is_usage_error(capsys, harmonic_file):
+    # the default --window 65536 would need a 65536 x 262144 kernel
+    assert cli.main(["calderon", "--in", harmonic_file, "--min-kernel"]) == 2
+    assert "size limit" in capsys.readouterr().err
+
+
 def test_operator_window_honored_exactly(capsys, impulse_file):
     code, doc = run_json(capsys, ["calderon", "--in", impulse_file, "--window", "3"])
     assert code == 0 and len(doc["values"]) == 3
@@ -153,14 +168,24 @@ def test_norm_shorthand_spaces(capsys, impulse_file):
     assert code == 0 and doc["value"] == 1.0
 
 
-def test_norm_lp_of_values_near_the_largest_double(capsys, tmp_path):
-    p = tmp_path / "big.json"
-    p.write_text(json.dumps(
-        {"kind": "finite", "domain": "half_line", "offset": 0, "values": [1e308] * 3}
-    ))
-    code, doc = run_json(capsys, ["norm", "--in", str(p), "--space", "lp:2"])
+def test_norm_lp_of_values_near_the_largest_double(capsys, big_file):
+    code, doc = run_json(capsys, ["norm", "--in", big_file, "--space", "lp:2"])
     assert code == 0
     assert doc["value"] == pytest.approx(1e308 * math.sqrt(3.0), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["optrange", "fnorm"], ["optrange", "member-weakl1"], ["norm", "--space", "weak_l1"]],
+)
+def test_finite_value_beyond_the_double_range_exits_one(capsys, big_file, argv):
+    # c_a = 3e308/log 4 and |x|_weak = 3e308 are finite but not doubles;
+    # "Infinity" would claim divergence
+    code = cli.main(argv + ["--in", big_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "exceeds the double range" in captured.err and "Traceback" not in captured.err
 
 
 def test_norm_space_file(capsys, impulse_file, tmp_path):

@@ -108,12 +108,6 @@ def test_emit_values_csv_full_precision():
     assert float(lines[1].split(",")[1]) == math.pi
 
 
-def test_run_config_echo_omits_output_dir():
-    echo = RunConfig(seed=5, output_dir="/tmp/somewhere").environment_echo()
-    assert "output_dir" not in json.dumps(echo)
-    assert echo["seed"] == 5
-
-
 def test_run_config_frozen_with_defaults():
     cfg = RunConfig()
     assert cfg.seed == 1 and cfg.window == 65536 and cfg.trials == 200

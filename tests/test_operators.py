@@ -86,6 +86,30 @@ def test_min_kernel_route_agrees_with_prefix_route(vals):
     assert np.allclose(a, b, rtol=1e-11, atol=1e-11)
 
 
+@pytest.mark.parametrize(
+    "x, window",
+    [
+        (finite(family_rng("min_kernel_blocks", 1).standard_normal(3000), offset=5), 8192),
+        (power_log(1.5, 1.0, 0.37), 2100),
+    ],
+)
+def test_min_kernel_row_blocks_agree_with_prefix_route(x, window):
+    # window x K exceeds one 2^24-entry block: 2 row blocks in both cases
+    a = calderon(x, window)
+    b = calderon_min_kernel(x, window)
+    slack = a.tail_halfwidth_per_index + b.tail_halfwidth_per_index
+    assert np.all(np.abs(a.window_values - b.window_values) <= slack + 1e-12)
+
+
+def test_min_kernel_beyond_size_limit_raises_before_any_work():
+    # an analytic input at window 65536 needs a 65536 x 262144 kernel (2^34)
+    with pytest.raises(ValueError, match="size limit"):
+        calderon_min_kernel(power_log(1.0, 0.0), 1 << 16)
+    # a far support needs one long row even at window 1
+    with pytest.raises(ValueError, match="size limit"):
+        calderon_min_kernel(finite([1.0], offset=1 << 25), 1)
+
+
 def test_calderon_analytic_tail_bracket_contains_brute():
     x = power_log(1.5, 1.0)
     out = calderon(x, 8)

@@ -292,6 +292,12 @@ def test_harmonic_numbers_match_fsum():
         assert hs[m - 1] == pytest.approx(exact, abs=1e-13)
 
 
+def test_harmonic_number_equals_fsum_up_to_4096():
+    for m in range(4097):
+        exact = math.fsum(1.0 / j for j in range(1, m + 1))
+        assert harmonic_number(m) == exact, m
+
+
 def test_harmonic_number_asymptotic_branch_continuous():
     a = harmonic_number(4096)
     b = harmonic_number(4097)

@@ -233,6 +233,53 @@ def test_lorentz_power_half_bracket_contains_brute_sum():
 
 
 # ---------------------------------------------------------------------------
+# power-log tails with beta > 0 and scale != 1 against an oracle that shares
+# nothing with the package: an explicit sum over k < 2^22 plus the integral
+# test for the decreasing remainder, int_N^inf f <= sum_{k>=N} f(k) <= f(N) + int_N^inf f
+
+
+ORACLE_N = 1 << 22
+
+
+def _profile(alpha, beta, scale, u, xp):
+    return scale * xp.log(u + 2) ** beta / (u + 1) ** alpha
+
+
+# (name, norm(x), summand of the series in terms of x(u) and u, outer power)
+CONTAINMENT_CASES = [
+    ("lp1.5", lambda x: lp_norm(x, 1.5), lambda v, u, xp: v ** 1.5, 1.5),
+    ("lp2", lambda x: lp_norm(x, 2.0), lambda v, u, xp: v ** 2, 2.0),
+    ("lp3", lambda x: lp_norm(x, 3.0), lambda v, u, xp: v ** 3, 3.0),
+    ("llog", llog_norm, lambda v, u, xp: v / (u + 1), 1.0),
+    ("log1p", lambda x: lorentz_phi_norm(x, LOG1P), lambda v, u, xp: v * xp.log1p(1 / (u + 1)), 1.0),
+    ("power0.5", lambda x: lorentz_phi_norm(x, PhiTemplate("power", 0.5)),
+     lambda v, u, xp: v * (xp.sqrt(u + 1) - xp.sqrt(u)), 1.0),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, scale", [(1.5, 1.0, 0.37), (2.0, 2.0, 2.5), (1.25, 0.5, 1.0)])
+@pytest.mark.parametrize("name, norm, summand, power", CONTAINMENT_CASES, ids=[c[0] for c in CONTAINMENT_CASES])
+def test_tail_bracket_contains_oracle_for_log_weighted_profiles(alpha, beta, scale, name, norm, summand, power):
+    import mpmath
+
+    u = np.arange(ORACLE_N, dtype=np.float64)
+    vals = _profile(alpha, beta, scale, u, np)
+    assert np.all(np.diff(vals) < 0)  # mu(x) = x, and every summand decreases
+    head = math.fsum(summand(vals, u, np).tolist())
+
+    def f(t):
+        return summand(_profile(alpha, beta, scale, t, mpmath), t, mpmath)
+
+    rest = float(mpmath.quad(f, [ORACLE_N, mpmath.inf]))
+    lo = (head + rest) ** (1.0 / power)
+    hi = (head + rest + float(f(mpmath.mpf(ORACLE_N)))) ** (1.0 / power)
+    got = norm(power_log(alpha, beta, scale))
+    assert got.value - got.tail_halfwidth <= hi * (1.0 + 1e-12)
+    assert lo * (1.0 - 1e-12) <= got.value + got.tail_halfwidth
+    assert got.tail_halfwidth <= 1e-9
+
+
+# ---------------------------------------------------------------------------
 # divergence and infinities
 
 
