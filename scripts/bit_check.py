@@ -11,10 +11,13 @@ Covered: `space_norm` (10 spaces, 64 power-log profiles at windows 16 and
 65536, 6 finite inputs), `weighted_tail_sum` (both signs of scale, profiles
 and their rearrangements), `calderon`, `weak_l1_membership`,
 `ratio_profile_sup` (360 arguments) and the JSON of `f_norm_upper` (5 spaces,
-grid windows 2^14 and 2^10).
+grid windows 2^14 and 2^10, plus a weak-l1 grid of power-log profiles near
+the membership edge and finite inputs over wide magnitude ranges).
 
 Sums whose decay exponent lies in (1, 2) are left out: there the explicit
-sum runs toward the 2^24-term cap and a single call takes seconds.
+sum runs toward the 2^24-term cap and a single call takes seconds.  The
+weak-l1 grid sums no such series, so it is kept apart from the five-space
+loop, where the same profiles would be slow in llog and lp.
 
 Usage:
     python3 scripts/bit_check.py --out bits.json
@@ -64,6 +67,21 @@ def finite_inputs() -> dict:
         "tiny64": finite(1e-200 * rng.random(64)),
         "uniform5000": finite(rng.random(5000)),
     }
+
+
+def weak_l1_fnorm_inputs() -> dict:
+    """Power-log profiles at and near the weak-l1 range edge (alpha = 1), and
+    finite inputs whose entries span up to ten decades, at scales from
+    1e-300 to 1e300."""
+    edge = [(1.0, b) for b in (0.5, 0.9, 1.0)] + [(a, b) for a in (1.01, 1.1) for b in (0.0, 0.5, 1.0)]
+    inputs = {f"pl({a},{b},{s})": power_log(a, b, s) for a, b in edge for s in (1.0, 0.37, 2.5)}
+    rng = np.random.default_rng(61)
+    for n in (1, 7, 64, 500, 5000):
+        mags = 10.0 ** rng.uniform(-5.0, 5.0, n)
+        signs = rng.choice([-1.0, 1.0], n)
+        for scale in (1e-300, 1e-10, 1.0, 1e10, 1e290):
+            inputs[f"wide{n}x{scale:g}"] = finite(scale * signs * mags)
+    return inputs
 
 
 def sum_exponent(spec: SpaceSpec, alpha: float) -> float:
@@ -173,6 +191,12 @@ def main() -> int:
                 record(out, f"fnorm/{E.label}/{name}/w{window}",
                        lambda: json.dumps(f_norm_upper(x, E, GridConfig(window)).to_json_dict(),
                                           sort_keys=True))
+
+    for name, x in weak_l1_fnorm_inputs().items():
+        for window in (1 << 14, 1 << 10, 16):
+            record(out, f"fnorm/weak_l1/{name}/w{window}",
+                   lambda: json.dumps(f_norm_upper(x, WEAK_L1, GridConfig(window)).to_json_dict(),
+                                      sort_keys=True))
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)

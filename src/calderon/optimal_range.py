@@ -2,15 +2,17 @@
 
 A sequence x belongs to the range space F (over a domain space E) when some
 witness y in E dominates it through the averaging operator: mu(x) <= S mu(y)
-pointwise.  The F quasi-norm is the infimum of |y|_E over witnesses; this
-module computes certified upper bounds by searching witness shapes (the
-rearrangement of x, its truncations, and power-log generators), each taken at
-its minimal admissible scale, and — for E = weak-l1 — a certified lower bound
-through the sup-ratio functional
+pointwise.  The F quasi-norm f(x) is the infimum of |y|_E over witnesses.
+For E = weak-l1 the harmonic witness c*(x) a, a(k) = 1/(k+1), attains it:
 
-    c_a(x) = sup_n mu(n, x) (n+1) / log(n+2),
+    f(x) = c*(x) = sup_n mu(n, x) (n+1) / (H_{n+1} + 1),
 
-which characterizes membership: x in F  iff  c_a(x) < infinity.
+since a decreasing y with |y|_weak = t lies below t a, S is positive and
+(S a)(n) = (H_{n+1}+1)/(n+1), so mu(x) <= S y forces t >= c*(x).  Other
+spaces search witness shapes (mu(x), its truncations, power-log generators),
+each at its minimal admissible scale, for a certified upper bound.  For
+weak-l1, c_a(x) = sup_n mu(n, x) (n+1) / log(n+2) characterizes membership
+(x in F iff c_a(x) < infinity) and gives a certified lower bound.
 
 Every certificate is checked on an explicit window and closed beyond it by an
 analytic tail argument: trivially for finitely supported x, or by a certified
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence as TySequence, Union
 
 import numpy as np
@@ -148,8 +151,12 @@ def harmonic_calderon_closed_form(n: int) -> float:
     return (harmonic_number(n + 1) + 1.0) / (n + 1.0)
 
 
+@lru_cache(maxsize=8)
 def _harmonic_calderon_window(window: int) -> np.ndarray:
-    return (harmonic_numbers(window) + 1.0) / (np.arange(1, window + 1, dtype=np.float64))
+    """(S mu(a)) on [0, window), built once per window and read-only."""
+    img = (harmonic_numbers(window) + 1.0) / (np.arange(1, window + 1, dtype=np.float64))
+    img.setflags(write=False)
+    return img
 
 
 def _mu_head(mu: Rearrangement, window: int) -> np.ndarray:
@@ -261,8 +268,6 @@ def _candidate_scale(
     together with the tail argument used.  Returns (inf, reason) when the
     shape cannot dominate any scaling of x."""
     mu_shape = decreasing_rearrangement(shape)
-    if mu_shape.is_zero:
-        return (0.0, TAIL_FINITE_SUPPORT) if mu_x.is_zero else (math.inf, "zero witness")
     if isinstance(shape, PowerLogSequence) and shape.alpha == 1.0 and shape.beta == 0.0:
         s_lo = shape.scale * _harmonic_calderon_window(window)
     else:
@@ -300,7 +305,9 @@ def f_norm_upper(
     x: MuLike, E: SpaceSpec = WEAK_L1, search: GridConfig = DEFAULT_GRID
 ) -> FNormEstimate:
     """Best certified upper bound of the F quasi-norm of x over the witness
-    shapes, each at its minimal admissible scale.
+    shapes, each at its minimal admissible scale.  For E = weak-l1 the
+    harmonic shape alone attains f = c* (module docstring); the lower bound
+    there is the certified floor c_a(x) log 2 / 2.
 
     Raises NoWitnessFoundError when no shape certifies; for E = weak-l1 the
     error is accompanied by the certified divergence of c_a(x) (x is then
@@ -321,19 +328,17 @@ def f_norm_upper(
         )
         return FNormEstimate(0.0, None if member is None else 0.0, cert)
 
-    # Each distinct shape once: a truncation that reaches the whole finite
-    # support is mu(x) itself, kept as a finite shape so the witness stays one.
-    shapes: list[MuLike] = [power_log(1.0, 0.0)]
-    shapes += [power_log(alpha, beta) for alpha, beta in GENERATORS]
-    for L in sorted({min(L, window) for L in TRUNCATION_LEVELS}):
-        if mu_x.tail.is_zero and L >= len(mu_x.values):
-            shapes.append(finite(mu_x.values))
-            break
-        shapes.append(finite(mu_x.head(L)))
-    else:
-        shapes.append(mu_x)
+    shapes: list[MuLike] = [power_log(1.0, 0.0)]  # attains f = c* over weak-l1
+    if E.kind != "weak_l1":
+        # Each distinct shape once: a truncation that reaches the whole finite
+        # support is mu(x) itself, kept as a finite shape so the witness stays one.
+        shapes += [power_log(alpha, beta) for alpha, beta in GENERATORS]
+        support = len(mu_x.values) if mu_x.tail.is_zero else math.inf
+        levels = sorted({min(L, window) for L in TRUNCATION_LEVELS})
+        shapes += [finite(mu_x.head(L)) for L in levels if L < support]
+        shapes.append(finite(mu_x.values) if levels[-1] >= support else mu_x)
 
-    best: Optional[tuple[float, MuLike, str]] = None
+    best: Optional[tuple[float, MuLike]] = None
     reasons = []
     for shape in shapes:
         c, tail_argument = _candidate_scale(mu_x, shape, window)
@@ -349,12 +354,12 @@ def f_norm_upper(
             reasons.append("witness outside E")
             continue
         if best is None or e_norm < best[0]:
-            best = (e_norm, y, tail_argument)
+            best = (e_norm, y)
     if best is None:
         raise NoWitnessFoundError(
             f"no candidate witness certifies (inconclusive): {sorted(set(reasons))}"
         )
-    upper, y, tail_argument = best
+    upper, y = best
     cert = check_domination(mu_x, y, window)
     lower = None if member is None else min(member.c_a * LOG2 / 2.0, upper)
     return FNormEstimate(upper, lower, cert)
@@ -366,11 +371,11 @@ def f_norm_upper(
 
 def c_star(x: MuLike, window: int = 1 << 14) -> float:
     """Optimal harmonic-witness scale sup_n mu(n, x)(n+1)/(H_{n+1}+1) on the
-    window (exact for finite supports living inside the window)."""
+    window: f(x) over weak-l1, exactly for finite supports inside the window."""
     head = _mu_head(decreasing_rearrangement(x), window)
     if len(head) == 0:
         return 0.0
-    return float(np.max(head / _harmonic_calderon_window(len(head))))
+    return float(np.max(head / _harmonic_calderon_window(window)[: len(head)]))
 
 
 def verify_f_quasitriangle(
@@ -419,10 +424,6 @@ UNBOUNDED_SUP_THRESHOLD = 10.0
 UNBOUNDED_DRIFT_THRESHOLD = 0.5
 
 
-def _windowed_g_norm(spec: SpaceSpec, values: np.ndarray) -> float:
-    return space_norm(spec, finite(values)).value
-
-
 def verify_minimality(
     E: SpaceSpec,
     catalog: TySequence[SpaceSpec],
@@ -458,8 +459,8 @@ def verify_minimality(
             pool.append((image(y), denom_y))
     probes = []
     for G in catalog:
-        g_full = _windowed_g_norm(G, harmonic_img) / denom
-        g_half = _windowed_g_norm(G, harmonic_img[: window // 2]) / denom
+        g_full = space_norm(G, finite(harmonic_img)).value / denom
+        g_half = space_norm(G, finite(harmonic_img[: window // 2])).value / denom
         unbounded = (g_full > UNBOUNDED_SUP_THRESHOLD) or (
             g_full - g_half >= UNBOUNDED_DRIFT_THRESHOLD
         )
@@ -468,10 +469,10 @@ def verify_minimality(
             continue
         C = 0.0
         for img, denom_y in pool:
-            C = max(C, _windowed_g_norm(G, img) / denom_y)
+            C = max(C, space_norm(G, finite(img)).value / denom_y)
         bad = 0
         for x_member, est in zip(members, estimates):
-            gx = _windowed_g_norm(G, x_member.values)
+            gx = space_norm(G, x_member).value
             if gx > C * est.upper * (1.0 + 1e-9) + 1e-300:
                 bad += 1
         probes.append(MinimalityProbe(G.label, g_full, g_half, False, C, bad))

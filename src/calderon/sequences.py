@@ -104,9 +104,6 @@ class FiniteSequence:
             out[a - lo : b - lo] = self.values[a - self.offset : b - self.offset]
         return out
 
-    def total_sum(self) -> float:
-        return float(np.sum(self.values, dtype=np.longdouble))
-
     def l1(self) -> float:
         return float(np.sum(np.abs(self.values), dtype=np.longdouble))
 
@@ -196,10 +193,6 @@ def power_log(alpha: float, beta: float, scale: float = 1.0) -> PowerLogSequence
     return PowerLogSequence(alpha, beta, scale)
 
 
-def harmonic_profile(scale: float = 1.0) -> PowerLogSequence:
-    return PowerLogSequence(1.0, 0.0, scale)
-
-
 # ---------------------------------------------------------------------------
 # decreasing rearrangement
 
@@ -257,6 +250,8 @@ class Rearrangement:
                 raise ValueError("rearrangement head must be nonincreasing")
         if isinstance(self.tail, PowerLogTail) and v.size:
             edge = float(self.tail.values_at(np.float64(len(v))))
+            if math.isinf(edge):
+                raise OverflowError("power-log tail value exceeds the double range")
             if edge > v[-1] * (1 + 1e-12) + 1e-300:
                 raise ValueError("rearrangement tail exceeds head edge")
 

@@ -302,6 +302,8 @@ def marcinkiewicz_norm(x: MuLike, window: int = 65536) -> NormValue:
         # beyond the support the numerator is constant and the denominator grows
         return NormValue(window_sup, 0.0, max(window, W))
     head_total = float(csum[-1])
+    if math.isinf(head_total):
+        raise OverflowError("the m1inf mass over the window exceeds the double range")
     if t.alpha > 1.0:
         # whole remaining mass: the explicit sum over [W, start) plus the
         # bracketed tail from start

@@ -188,6 +188,17 @@ def test_finite_value_beyond_the_double_range_exits_one(capsys, big_file, argv):
     assert "exceeds the double range" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("space", ["weak_l1", "llog", "lp:2", "lorentz:log1p", "m1inf"])
+def test_fnorm_beyond_the_double_range_exits_one_in_every_space(capsys, big_file, space):
+    # the witness of [1e308]*3 or its E-norm leaves the double range: an
+    # uncertifiable result, not a usage error
+    code = cli.main(["optrange", "fnorm", "--space", space, "--in", big_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "could not certify" in captured.err and "Traceback" not in captured.err
+
+
 def test_norm_space_file(capsys, impulse_file, tmp_path):
     sp = tmp_path / "space.json"
     sp.write_text(json.dumps({"space": "lp", "p": 3.0}))

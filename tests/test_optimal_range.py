@@ -8,13 +8,17 @@ from hypothesis import given, settings, strategies as st
 from calderon.families import family_rng, generate_family
 from calderon.optimal_range import (
     DEFAULT_GRID,
+    GENERATORS,
     LOG2,
     TAIL_ANALYTIC,
     TAIL_FINITE_SUPPORT,
+    TRUNCATION_LEVELS,
     DominationCertificate,
     FNormEstimate,
     GridConfig,
     NoWitnessFoundError,
+    _candidate_scale,
+    _scaled_shape,
     c_star,
     check_domination,
     f_norm_upper,
@@ -24,12 +28,14 @@ from calderon.optimal_range import (
     verify_minimality,
     weak_l1_membership,
 )
+from calderon.brackets import DivergentTailError, TailToleranceError
 from calderon.operators import calderon
 from calderon.report import PASS
 from calderon.sequences import (
     FiniteSequence,
     IndexDomain,
     decreasing_rearrangement,
+    PowerLogSequence,
     finite,
     power_log,
 )
@@ -186,6 +192,52 @@ def test_f_inconclusive_message_outside_weak_l1():
     # reported as inconclusive rather than as a certified non-membership
     with pytest.raises(NoWitnessFoundError, match="inconclusive"):
         f_norm_upper(power_log(1.0, 2.0), M1INF, SMALL_GRID)
+
+
+# finite supports with magnitudes 1e-6..1e6, and the fnorm_mix in-range profiles
+wide_finite = st.lists(
+    st.tuples(st.floats(min_value=-6.0, max_value=6.0), st.sampled_from([-1.0, 1.0])),
+    min_size=1,
+    max_size=64,
+).map(lambda terms: finite([sign * 10.0**e for e, sign in terms]))
+in_range_profiles = st.builds(
+    lambda ab, scale: power_log(ab[0], ab[1], scale),
+    st.sampled_from([(1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (1.25, 0.0), (1.5, 0.0),
+                     (1.5, 1.0), (2.0, 0.0), (2.0, 2.0)]),
+    st.floats(min_value=0.5, max_value=2.0),
+)
+
+
+def _weak_norm_at_minimal_scale(mu_x, shape, window):
+    c, _ = _candidate_scale(mu_x, shape, window)
+    if math.isinf(c) or c == 0.0:
+        return math.inf
+    try:
+        return space_norm(WEAK_L1, _scaled_shape(shape, c), window).value
+    except (DivergentTailError, TailToleranceError):
+        return math.inf
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(st.one_of(wide_finite, in_range_profiles))
+def test_no_catalog_shape_beats_the_harmonic_witness_in_weak_l1(x):
+    # f = c* on weak-l1: a decreasing y with |y|_weak = t lies below t a, so
+    # S y <= t S a and every certified witness costs at least c*
+    window = SMALL_GRID.window
+    mu_x = decreasing_rearrangement(x)
+    harmonic = _weak_norm_at_minimal_scale(mu_x, power_log(1.0, 0.0), window)
+    assert math.isfinite(harmonic)
+    shapes = [power_log(a, b) for a, b in GENERATORS]
+    for L in sorted({min(L, window) for L in TRUNCATION_LEVELS}):
+        shapes.append(finite(mu_x.head(L)))
+    shapes.append(mu_x)
+    for shape in shapes:
+        assert _weak_norm_at_minimal_scale(mu_x, shape, window) >= harmonic * (1.0 - 1e-12)
+    est = f_norm_upper(x, WEAK_L1, SMALL_GRID)
+    y = est.witness.y
+    assert isinstance(y, PowerLogSequence) and (y.alpha, y.beta) == (1.0, 0.0)
+    if isinstance(x, FiniteSequence):
+        assert est.upper == pytest.approx(c_star(x, window), rel=1e-15)
 
 
 def test_f_of_zero_is_zero():
