@@ -10,9 +10,11 @@ records the exception class instead of a value.
 Covered: `space_norm` (10 spaces, 64 power-log profiles at windows 16 and
 65536, 6 finite inputs), `weighted_tail_sum` (both signs of scale, profiles
 and their rearrangements), `calderon`, `weak_l1_membership`,
-`ratio_profile_sup` (360 arguments) and the JSON of `f_norm_upper` (5 spaces,
+`ratio_profile_sup` (360 arguments), the JSON of `f_norm_upper` (5 spaces,
 grid windows 2^14 and 2^10, plus a weak-l1 grid of power-log profiles near
-the membership edge and finite inputs over wide magnitude ranges).
+the membership edge and finite inputs over wide magnitude ranges, plus lp:2
+on a moderate finite input), and the `check_domination` verdicts of those
+wide finite inputs against their own weak-l1 witness scaled by 1 and 0.999.
 
 Sums whose decay exponent lies in (1, 2) are left out: there the explicit
 sum runs toward the 2^24-term cap and a single call takes seconds.  The
@@ -33,7 +35,7 @@ import numpy as np
 
 from calderon.brackets import ratio_profile_sup
 from calderon.operators import calderon
-from calderon.optimal_range import GridConfig, f_norm_upper, weak_l1_membership
+from calderon.optimal_range import GridConfig, check_domination, f_norm_upper, weak_l1_membership
 from calderon.sequences import decreasing_rearrangement, finite, power_log, weighted_tail_sum
 from calderon.spaces import LLOG, LOG1P, M1INF, SUM_SPACE, WEAK_L1, PhiTemplate, SpaceSpec, lp_space, space_norm
 
@@ -118,6 +120,10 @@ def member_doc(m) -> list:
     return [m.member, repr(m.c_a)]
 
 
+def domination_doc(cert) -> list:
+    return [cert.window_verified, cert.tail_ok, cert.first_violation]
+
+
 def digest(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()[:24]
 
@@ -191,12 +197,21 @@ def main() -> int:
                 record(out, f"fnorm/{E.label}/{name}/w{window}",
                        lambda: json.dumps(f_norm_upper(x, E, GridConfig(window)).to_json_dict(),
                                           sort_keys=True))
+    record(out, "fnorm/lp(2)/moderate3",
+           lambda: json.dumps(f_norm_upper(finite([1e8, 5e7, 3.3e7]), lp_space(2.0)).to_json_dict(),
+                              sort_keys=True))
 
     for name, x in weak_l1_fnorm_inputs().items():
         for window in (1 << 14, 1 << 10, 16):
             record(out, f"fnorm/weak_l1/{name}/w{window}",
                    lambda: json.dumps(f_norm_upper(x, WEAK_L1, GridConfig(window)).to_json_dict(),
                                       sort_keys=True))
+        if name.startswith("wide"):
+            y = f_norm_upper(x, WEAK_L1).witness.y
+            for factor in (1.0, 0.999):
+                record(out, f"domination/{name}/y*{factor}",
+                       lambda: domination_doc(check_domination(x, power_log(y.alpha, y.beta, factor * y.scale),
+                                                               1 << 14)))
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)

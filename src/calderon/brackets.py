@@ -16,7 +16,8 @@ The resulting [lower, upper] interval is exact mathematics up to floating
 point roundoff; callers shrink it by pushing N outward.  Every certified series
 follows one policy: terms summed explicitly in longdouble (`explicit_sum`) up
 to a start index doubled outward until the bracket's half-width is at most
-TAIL_TOL or the start reaches TAIL_CAP (`tail_sum`).
+TAIL_TOL or the start reaches TAIL_CAP, where the wider bracket is returned
+as it stands (`tail_sum`).
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ TAIL_CAP = 2 ** 24
 
 class DivergentTailError(ArithmeticError):
     """Requested sum has a non-summable tail."""
-
-
-class TailToleranceError(ArithmeticError):
-    """Bracket half-width cannot reach the requested tolerance within the cap."""
 
 
 @dataclass(frozen=True)
@@ -134,8 +131,8 @@ def choose_tail_start(
 ) -> tuple[int, Bracket]:
     """Pick a start index whose tail bracket has half-width <= tol, doubling
     outward from min_start up to TAIL_CAP.  Returns the best (start, bracket)
-    found; callers that need the tolerance met must check and raise
-    TailToleranceError.
+    found: at the cap the bracket may be wider than tol, and it is still
+    certified.
     """
     start = max(min_start, min_tail_start(alpha, beta, shift_power=shift_power, harmonic_weight=harmonic_weight))
     best = powerlog_tail(alpha, beta, start, shift_power=shift_power, harmonic_weight=harmonic_weight, scale=scale)

@@ -31,7 +31,6 @@ from .operators import (
     hilbert_symmetric,
 )
 from .optimal_range import (
-    DEFAULT_GRID,
     GridConfig,
     NoWitnessFoundError,
     f_norm_upper,
@@ -130,17 +129,6 @@ def _emit_operator_output(out: OperatorOutput, fmt: str, fh: IO[str]) -> None:
         )
 
 
-def _parse_grid(text: str) -> GridConfig:
-    if text == "default":
-        return DEFAULT_GRID
-    try:
-        return GridConfig(window=int(text))
-    except ValueError as e:
-        raise UsageError(
-            f"--grid takes 'default' or a certificate window size, got {text!r}"
-        ) from e
-
-
 def _global_flags(ap: argparse.ArgumentParser, suppress: bool) -> None:
     """The four global flags are accepted both before and after the
     subcommand; the post-subcommand copies use SUPPRESS defaults so they only
@@ -225,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--in", dest="infile", required=True, help="sequence JSON file")
     q.add_argument("--space", default="weak_l1", help="domain space (default weak_l1)")
-    q.add_argument("--grid", default="default", help="'default' or a certificate window")
 
     q = osub.add_parser(
         "member-weakl1", parents=[common], help="membership functional for the range space"
@@ -337,9 +324,8 @@ def _cmd_hilbert(args) -> int:
 def _cmd_fnorm(args) -> int:
     x = _load_sequence(args.infile)
     spec = _load_space(args.space)
-    grid = _parse_grid(args.grid)
     try:
-        est = f_norm_upper(x, spec, grid)
+        est = f_norm_upper(x, spec, GridConfig.for_window(args.window))
     except NoWitnessFoundError as e:
         with _open_out(args.out) as fh:
             fh.write(json.dumps({"error": str(e)}, sort_keys=True, indent=2) + "\n")

@@ -14,11 +14,14 @@ each at its minimal admissible scale, for a certified upper bound.  For
 weak-l1, c_a(x) = sup_n mu(n, x) (n+1) / log(n+2) characterizes membership
 (x in F iff c_a(x) < infinity) and gives a certified lower bound.
 
-Every certificate is checked on an explicit window and closed beyond it by an
-analytic tail argument: trivially for finitely supported x, or by a certified
-ratio bound for power-log tails (the harmonic witness uses
-(S mu(a))(n) = (H_{n+1}+1)/(n+1) > log(n+2)/(n+1); general witnesses use the
-partial-sum lower bound S mu(y)(n) >= P_y(W)/(n+1) for n >= W).
+One test, `_domination`, decides mu(x) <= S mu(y) for the search (against the
+lower end of S mu(y), which certifies the scale) and for the re-check
+(against the upper end, which refutes only beyond the bracket).  It checks an
+explicit window and closes the tail by an analytic argument: trivially for
+finitely supported x, or by a certified ratio bound for power-log tails (the
+harmonic witness uses (S mu(a))(n) = (H_{n+1}+1)/(n+1) > log(n+2)/(n+1);
+general witnesses use the partial-sum lower bound S mu(y)(n) >= P_y(W)/(n+1)
+for n >= W).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Optional, Sequence as TySequence, Union
 
 import numpy as np
 
-from .brackets import DivergentTailError, TailToleranceError, ratio_profile_sup
+from .brackets import DivergentTailError, ratio_profile_sup
 from .operators import calderon
 from .report import CaseResult, FAIL, PASS
 from .sequences import (
@@ -139,6 +142,11 @@ class GridConfig:
         if self.window < 16:
             raise ValueError("certificate window must be at least 16")
 
+    @classmethod
+    def for_window(cls, window: int) -> "GridConfig":
+        """The certificate grid for an evaluation window: clamped to [16, 2^14]."""
+        return cls(window=min(max(window, 16), 1 << 14))
+
 
 DEFAULT_GRID = GridConfig()
 
@@ -206,54 +214,54 @@ def weak_l1_membership(x: MuLike, window: int = 1 << 14) -> MembershipResult:
 # certificates
 
 
-def _tail_ratio_sup(mu_x: Rearrangement, y: MuLike, window: int, partial_sum: float) -> float:
-    """Certified sup over n >= window of mu_x(n) / (S mu(y))(n), given the
-    window partial sum P = sum_{k<window} mu(y)(k).  Returns inf when no rule
-    certifies a finite bound."""
+def _domination(
+    mu_x: Rearrangement, y: MuLike, image: np.ndarray, window: int
+) -> tuple[np.ndarray, float, str]:
+    """The one test of mu(x) <= S mu(y).  image is one end of the bracket of
+    S mu(y) on [0, window).  Returns the window ratios mu_x(n) / image(n)
+    (0 where mu_x(n) = 0), a certified sup of mu_x(n) / (S mu(y))(n) over
+    n >= window (inf when no rule certifies one) and the tail argument used."""
+    lhs = mu_x.head(window)  # zero past a finite support
+    with np.errstate(divide="ignore"):
+        ratios = np.divide(lhs, image, out=np.zeros(window), where=lhs > 0)
     if mu_x.tail.is_zero and len(mu_x.values) <= window:
-        return 0.0
+        return ratios, 0.0, TAIL_FINITE_SUPPORT
     t = mu_x.tail
     if t.is_zero:
         # head extends past the window: not certifiable by these rules
-        return math.inf
+        return ratios, math.inf, TAIL_ANALYTIC
     sups = []
-    if isinstance(y, PowerLogSequence) and y.alpha == 1.0 and y.beta == 0.0 and y.scale > 0:
+    if isinstance(y, PowerLogSequence) and y.is_harmonic and y.scale > 0:
         # S mu(y)(n) = scale*(H_{n+1}+1)/(n+1) > scale*log(n+2)/(n+1)
-        sups.append(
-            ratio_profile_sup(t.alpha - 1.0, t.beta - 1.0, window, scale=t.scale / y.scale)
-        )
-    if partial_sum > 0:
-        # S mu(y)(n) >= P/(n+1) for n >= window
-        sups.append(ratio_profile_sup(t.alpha - 1.0, t.beta, window, scale=t.scale / partial_sum))
-    return min(sups) if sups else math.inf
+        sups.append(ratio_profile_sup(t.alpha - 1.0, t.beta - 1.0, window, scale=t.scale / y.scale))
+    mu_y = decreasing_rearrangement(y)
+    partial = float(np.sum(np.asarray(_mu_head(mu_y, window), dtype=np.longdouble)))
+    if partial > 0:
+        # S mu(y)(n) >= P/(n+1) for n >= window, P = sum_{k<window} mu(y)(k)
+        sups.append(ratio_profile_sup(t.alpha - 1.0, t.beta, window, scale=t.scale / partial))
+    return ratios, (min(sups) if sups else math.inf), TAIL_ANALYTIC
 
 
 def check_domination(x: MuLike, y: MuLike, window: int) -> DominationCertificate:
-    """Verify mu(x) <= S mu(y) on the window and close the tail analytically."""
+    """Re-verify mu(x) <= S mu(y) from an independent `calderon` evaluation of
+    S mu(y).  The test reads the upper end of that bracket, values plus
+    half-widths, and passes iff every window ratio and the tail sup are at
+    most 1 + DOMINATION_TOL: the slack is purely relative, so it refutes a
+    witness only beyond its own recomputed bracket."""
     mu_x = decreasing_rearrangement(x)
-    mu_y = decreasing_rearrangement(y)
-    s = calderon(mu_y, window)
-    rhs = s.window_values + s.tail_halfwidth_per_index
-    lhs = mu_x.head(window)  # zero past a finite support
-    slack = DOMINATION_TOL * np.maximum(1.0, np.abs(rhs))
-    bad = np.nonzero(lhs > rhs + slack)[0]
-    window_verified = bad.size == 0
-    first_violation = int(bad[0]) if bad.size else None
-    if mu_x.tail.is_zero and len(mu_x.values) <= window:
-        tail_argument = TAIL_FINITE_SUPPORT
-        tail_ok = True
-    else:
-        tail_argument = TAIL_ANALYTIC
-        partial = float(np.sum(np.asarray(_mu_head(mu_y, window), dtype=np.longdouble)))
-        tail_ok = _tail_ratio_sup(mu_x, y, window, partial) <= 1.0 + DOMINATION_TOL
+    s = calderon(decreasing_rearrangement(y), window)
+    ratios, tail_sup, tail_argument = _domination(
+        mu_x, y, s.window_values + s.tail_halfwidth_per_index, window
+    )
+    bad = np.nonzero(ratios > 1.0 + DOMINATION_TOL)[0]
     return DominationCertificate(
         x=x,
         y=y,
         window=window,
-        window_verified=window_verified,
+        window_verified=bad.size == 0,
         tail_argument=tail_argument,
-        tail_ok=tail_ok,
-        first_violation=first_violation,
+        tail_ok=tail_sup <= 1.0 + DOMINATION_TOL,
+        first_violation=int(bad[0]) if bad.size else None,
     )
 
 
@@ -265,28 +273,21 @@ def _candidate_scale(
     mu_x: Rearrangement, shape: MuLike, window: int
 ) -> tuple[float, str]:
     """Minimal c with mu(x) <= c * S mu(shape) certified on all of Z+,
-    together with the tail argument used.  Returns (inf, reason) when the
+    together with the tail argument used.  The scale is certified from the
+    lower end of S mu(shape): the cached closed form for the harmonic shape,
+    else `calderon` values minus half-widths.  Returns (inf, reason) when the
     shape cannot dominate any scaling of x."""
-    mu_shape = decreasing_rearrangement(shape)
-    if isinstance(shape, PowerLogSequence) and shape.alpha == 1.0 and shape.beta == 0.0:
+    if isinstance(shape, PowerLogSequence) and shape.is_harmonic:
         s_lo = shape.scale * _harmonic_calderon_window(window)
     else:
-        try:
-            out = calderon(mu_shape, window)
-        except (DivergentTailError, TailToleranceError):
-            return math.inf, "witness image tail not certifiable at tolerance"
+        out = calderon(decreasing_rearrangement(shape), window)
         s_lo = out.window_values - out.tail_halfwidth_per_index
         if float(np.min(s_lo)) <= 0.0:
             return math.inf, "witness image not positive on window"
-    lhs = mu_x.head(window)  # zero past a finite support
-    window_scale = float(np.max(lhs / s_lo)) if window else 0.0
-    if mu_x.tail.is_zero and len(mu_x.values) <= window:
-        return window_scale, TAIL_FINITE_SUPPORT
-    partial = float(np.sum(np.asarray(_mu_head(mu_shape, window), dtype=np.longdouble)))
-    tail_scale = _tail_ratio_sup(mu_x, shape, window, partial)
-    if math.isinf(tail_scale):
+    ratios, tail_sup, tail_argument = _domination(mu_x, shape, s_lo, window)
+    if math.isinf(tail_sup):
         return math.inf, "no analytic tail rule certifies this witness shape"
-    return max(window_scale, tail_scale), TAIL_ANALYTIC
+    return max(float(np.max(ratios)), tail_sup), tail_argument
 
 
 def _scaled_shape(shape: MuLike, c: float) -> MuLike:
@@ -305,7 +306,9 @@ def f_norm_upper(
     x: MuLike, E: SpaceSpec = WEAK_L1, search: GridConfig = DEFAULT_GRID
 ) -> FNormEstimate:
     """Best certified upper bound of the F quasi-norm of x over the witness
-    shapes, each at its minimal admissible scale.  For E = weak-l1 the
+    shapes, each at its minimal admissible scale: `upper` is the upper end of
+    the bracket of |y|_E (value plus tail half-width), and candidates are
+    ranked by it.  For E = weak-l1 the
     harmonic shape alone attains f = c* (module docstring); the lower bound
     there is the certified floor c_a(x) log 2 / 2.
 
@@ -347,11 +350,15 @@ def f_norm_upper(
             continue
         y = _scaled_shape(shape, c)
         try:
-            e_norm = space_norm(E, y, window).value
-        except (DivergentTailError, TailToleranceError):
+            nv = space_norm(E, y, window)
+            e_norm = nv.value + nv.tail_halfwidth  # the certified upper end
+        except DivergentTailError:
             e_norm = math.inf
         if math.isinf(e_norm):
             reasons.append("witness outside E")
+            continue
+        if e_norm == 0.0:
+            reasons.append("witness E-norm underflows")
             continue
         if best is None or e_norm < best[0]:
             best = (e_norm, y)
@@ -367,15 +374,6 @@ def f_norm_upper(
 
 # ---------------------------------------------------------------------------
 # property drivers
-
-
-def c_star(x: MuLike, window: int = 1 << 14) -> float:
-    """Optimal harmonic-witness scale sup_n mu(n, x)(n+1)/(H_{n+1}+1) on the
-    window: f(x) over weak-l1, exactly for finite supports inside the window."""
-    head = _mu_head(decreasing_rearrangement(x), window)
-    if len(head) == 0:
-        return 0.0
-    return float(np.max(head / _harmonic_calderon_window(window)[: len(head)]))
 
 
 def verify_f_quasitriangle(

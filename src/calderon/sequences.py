@@ -27,15 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .brackets import (
-    TAIL_TOL,
-    Bracket,
-    ZERO_BRACKET,
-    TailToleranceError,
-    choose_tail_start,
-    explicit_sum,
-    powerlog_profile,
-)
+from .brackets import Bracket, ZERO_BRACKET, explicit_sum, powerlog_profile, tail_sum
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -404,9 +396,9 @@ def weighted_tail_sum(x: Union[Sequence, Rearrangement], n: int) -> Bracket:
     """Certified value of sum_{k=n+1}^inf x(k)/k.
 
     Exact for finite supports.  For power-log data the harmonic profile
-    telescopes to scale/(n+1); otherwise an explicit window is summed and the
-    remainder bracketed, extending the window until the half-width meets
-    TAIL_TOL (TailToleranceError when the start cap comes first).
+    telescopes to scale/(n+1); otherwise the one tail policy of
+    `brackets.tail_sum` applies: an explicit window is summed and the
+    remainder bracketed, and at TAIL_CAP the wider bracket is returned.
     """
     if n < 0:
         raise ValueError("tail sums start at n >= 0")
@@ -441,13 +433,9 @@ def _powerlog_weighted_tail(x: PowerLogSequence, n: int, floor_start: int | None
         # sum_{k >= first} 1/(k(k+1)) telescopes to 1/first
         val = sign * s / first
         return Bracket(val, val)
-    # checked before the explicit sum, which at the cap runs over 2^24 terms
-    start, rem = choose_tail_start(alpha, beta, first, TAIL_TOL, harmonic_weight=True, scale=s)
-    if rem.halfwidth > TAIL_TOL:
-        raise TailToleranceError(
-            f"tail half-width {rem.halfwidth:.3e} above tolerance {TAIL_TOL:.3e} at cap"
-        )
-    partial = explicit_sum(lambda ks: np.abs(x.values_at(ks)), first, start, _over_k)
+    _, partial, rem = tail_sum(
+        lambda ks: np.abs(x.values_at(ks)), first, _over_k, alpha, beta, harmonic_weight=True, scale=s
+    )
     out = rem.shifted(partial)
     if sign < 0:
         return Bracket(-out.hi, -out.lo)
@@ -487,9 +475,8 @@ def harmonic_number(m: int) -> float:
 
 
 def harmonic_numbers(count: int) -> np.ndarray:
-    """Array [H_1, ..., H_count] via extended-precision cumulative sums."""
-    recip = 1.0 / np.arange(1, count + 1, dtype=np.longdouble)
-    return np.cumsum(recip).astype(np.float64)
+    """Array [H_1, ..., H_count], entry m - 1 equal to harmonic_number(m)."""
+    return np.array([harmonic_number(m) for m in range(1, count + 1)], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

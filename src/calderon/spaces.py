@@ -37,7 +37,14 @@ from .brackets import (
     ratio_profile_sup,
     tail_sum,
 )
-from .sequences import FiniteSequence, Rearrangement, Sequence, decreasing_rearrangement, json_number
+from .sequences import (
+    FiniteSequence,
+    Rearrangement,
+    Sequence,
+    decreasing_rearrangement,
+    harmonic_number,
+    json_number,
+)
 
 INFINITE = math.inf
 
@@ -316,9 +323,7 @@ def marcinkiewicz_norm(x: MuLike, window: int = 65536) -> NormValue:
     else:
         # alpha = 1, beta = 0: partial sums are scale*(H at the index) up to the
         # head/profile offset; H_{n+1} <= log(n+2) + gamma + 1 bounds the ratio.
-        offset = head_total - float(
-            np.sum(1.0 / np.arange(1.0, W + 1.0, dtype=np.longdouble)) * t.scale
-        )
+        offset = head_total - harmonic_number(W) * t.scale
         beyond = t.scale * (1.0 + 1.6 / math.log(2.0 + W)) + max(offset, 0.0) / math.log(2.0 + W)
     if beyond <= window_sup:
         return NormValue(window_sup, 0.0, max(window, W))

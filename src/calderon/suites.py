@@ -603,10 +603,6 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
 # optrange suite
 
 
-def _grid_for(config: RunConfig) -> GridConfig:
-    return GridConfig(window=min(max(config.window, 16), 1 << 14))
-
-
 def _finite_support_cap(grid: GridConfig) -> int:
     # finite inputs stay inside half the certificate window so the
     # finite-support tail argument always applies
@@ -615,7 +611,7 @@ def _finite_support_cap(grid: GridConfig) -> int:
 
 def _optrange_quasitriangle_cases(config: RunConfig) -> List[CaseResult]:
     seed = config.seed
-    grid = _grid_for(config)
+    grid = GridConfig.for_window(config.window)
     cap = _finite_support_cap(grid)
     rng = family_rng("optrange/quasitriangle", seed)
     pairs = []
@@ -629,7 +625,7 @@ def _optrange_quasitriangle_cases(config: RunConfig) -> List[CaseResult]:
 
 def _optrange_minimality_cases(config: RunConfig) -> List[CaseResult]:
     seed = config.seed
-    grid = _grid_for(config)
+    grid = GridConfig.for_window(config.window)
     witnesses = [
         power_log(1.0, 0.0),
         power_log(1.5, 0.0),
@@ -707,7 +703,7 @@ def _optrange_hilbert_cases(config: RunConfig) -> List[CaseResult]:
 def _optrange_cases(config: RunConfig) -> List[CaseResult]:
     cases: List[CaseResult] = []
     seed = config.seed
-    grid = _grid_for(config)
+    grid = GridConfig.for_window(config.window)
     cap = _finite_support_cap(grid)
 
     err0 = abs(harmonic_calderon_closed_form(0) - 2.0)

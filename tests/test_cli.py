@@ -237,10 +237,26 @@ def test_fnorm_impulse_value(capsys, impulse_file):
     assert doc["witness"]["window_verified"] is True
 
 
-def test_fnorm_grid_flag(capsys, impulse_file):
-    code, doc = run_json(capsys, ["optrange", "fnorm", "--in", impulse_file, "--grid", "1024"])
+@pytest.mark.parametrize(
+    "flag, window",
+    [([], 16384), (["--window", "1024"], 1024), (["--window", "4"], 16)],
+    ids=["default", "1024", "floor"],
+)
+def test_fnorm_window_flag(capsys, impulse_file, flag, window):
+    # the certificate window is --window clamped to [16, 2^14], as in optrange verify
+    code, doc = run_json(capsys, ["optrange", "fnorm", "--in", impulse_file] + flag)
     assert code == 0 and doc["upper"] == pytest.approx(0.5, rel=1e-12)
-    assert cli.main(["optrange", "fnorm", "--in", impulse_file, "--grid", "nonsense"]) == 2
+    assert doc["witness"]["window"] == window
+
+
+def test_fnorm_lp2_of_moderate_input_is_certified(capsys, tmp_path):
+    # the scaled power-log witnesses reach the tail cap behind S; the wider
+    # bracket is still certified, so the search goes on
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps({"kind": "finite", "domain": "half_line", "offset": 0, "values": [1e8, 5e7, 3.3e7]}))
+    code, doc = run_json(capsys, ["optrange", "fnorm", "--in", str(p), "--space", "lp:2"])
+    assert code == 0
+    assert doc["witness"]["window_verified"] is True and doc["witness"]["tail_ok"] is True
 
 
 def test_fnorm_non_member_exits_one(capsys, log_sq_profile_file):

@@ -292,6 +292,11 @@ def test_harmonic_numbers_match_fsum():
         assert hs[m - 1] == pytest.approx(exact, abs=1e-13)
 
 
+def test_harmonic_numbers_equal_harmonic_number_bitwise():
+    hs = harmonic_numbers(65536)
+    assert all(hs[m - 1] == harmonic_number(m) for m in range(1, 65537))
+
+
 def test_harmonic_number_equals_fsum_up_to_4096():
     for m in range(4097):
         exact = math.fsum(1.0 / j for j in range(1, m + 1))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import zeta
 
-from calderon.brackets import DivergentTailError
+from calderon.brackets import TAIL_TOL, DivergentTailError
 from calderon.families import POWER_LOG_GRID
-from calderon.sequences import decreasing_rearrangement, finite, power_log
+from calderon.sequences import decreasing_rearrangement, finite, power_log, weighted_tail_sum
 from calderon.spaces import (
     LLOG,
     LOG1P,
@@ -257,26 +257,37 @@ CONTAINMENT_CASES = [
 ]
 
 
+def _oracle_sum(term, first):
+    """[lo, hi] around sum_{u >= first} term(u), term decreasing from
+    ORACLE_N on: fsum below ORACLE_N, the integral test beyond."""
+    import mpmath
+
+    head = math.fsum(term(np.arange(first, ORACLE_N, dtype=np.float64), np).tolist())
+    rest = float(mpmath.quad(lambda t: term(t, mpmath), [ORACLE_N, mpmath.inf]))
+    return head + rest, head + rest + float(term(mpmath.mpf(ORACLE_N), mpmath))
+
+
 @pytest.mark.parametrize("alpha, beta, scale", [(1.5, 1.0, 0.37), (2.0, 2.0, 2.5), (1.25, 0.5, 1.0)])
 @pytest.mark.parametrize("name, norm, summand, power", CONTAINMENT_CASES, ids=[c[0] for c in CONTAINMENT_CASES])
 def test_tail_bracket_contains_oracle_for_log_weighted_profiles(alpha, beta, scale, name, norm, summand, power):
-    import mpmath
-
-    u = np.arange(ORACLE_N, dtype=np.float64)
-    vals = _profile(alpha, beta, scale, u, np)
+    vals = _profile(alpha, beta, scale, np.arange(ORACLE_N, dtype=np.float64), np)
     assert np.all(np.diff(vals) < 0)  # mu(x) = x, and every summand decreases
-    head = math.fsum(summand(vals, u, np).tolist())
-
-    def f(t):
-        return summand(_profile(alpha, beta, scale, t, mpmath), t, mpmath)
-
-    rest = float(mpmath.quad(f, [ORACLE_N, mpmath.inf]))
-    lo = (head + rest) ** (1.0 / power)
-    hi = (head + rest + float(f(mpmath.mpf(ORACLE_N)))) ** (1.0 / power)
+    lo, hi = _oracle_sum(lambda u, xp: summand(_profile(alpha, beta, scale, u, xp), u, xp), 0)
+    lo, hi = lo ** (1.0 / power), hi ** (1.0 / power)
     got = norm(power_log(alpha, beta, scale))
     assert got.value - got.tail_halfwidth <= hi * (1.0 + 1e-12)
     assert lo * (1.0 - 1e-12) <= got.value + got.tail_halfwidth
     assert got.tail_halfwidth <= 1e-9
+
+
+def test_tail_bracket_contains_oracle_for_weighted_tail_at_the_cap():
+    # sum_{k >= 1} x(k)/k behind S: the bracket reaches TAIL_CAP wider than
+    # TAIL_TOL and is returned as it stands
+    got = weighted_tail_sum(power_log(1.0, 2.0, 1000.0), 0)
+    assert got.halfwidth > TAIL_TOL
+    lo, hi = _oracle_sum(lambda u, xp: _profile(1.0, 2.0, 1000.0, u, xp) / u, 1)
+    assert got.lo <= hi * (1.0 + 1e-12)
+    assert lo * (1.0 - 1e-12) <= got.hi
 
 
 # ---------------------------------------------------------------------------
