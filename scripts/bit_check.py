@@ -13,8 +13,11 @@ and their rearrangements), `calderon`, `weak_l1_membership`,
 `ratio_profile_sup` (360 arguments), the JSON of `f_norm_upper` (5 spaces,
 grid windows 2^14 and 2^10, plus a weak-l1 grid of power-log profiles near
 the membership edge and finite inputs over wide magnitude ranges, plus lp:2
-on a moderate finite input), and the `check_domination` verdicts of those
-wide finite inputs against their own weak-l1 witness scaled by 1 and 0.999.
+on a moderate finite input, plus finite normal supports of length 1000 to
+8000 in the four spaces that search the full catalog, where the finite
+witness wins and the search skips the power-log shapes), and the
+`check_domination` verdicts of those wide finite inputs against their own
+weak-l1 witness scaled by 1 and 0.999.
 
 Sums whose decay exponent lies in (1, 2) are left out: there the explicit
 sum runs toward the 2^24-term cap and a single call takes seconds.  The
@@ -86,6 +89,17 @@ def weak_l1_fnorm_inputs() -> dict:
     return inputs
 
 
+def catalog_fnorm_inputs() -> dict:
+    """Finite normal supports of the lengths fnorm_mix reaches, scaled to
+    max |x| = 4."""
+    rng = np.random.default_rng(83)
+    inputs = {}
+    for n in (1000, 3000, 8000):
+        z = rng.standard_normal(n)
+        inputs[f"normal{n}"] = finite(4.0 * z / np.max(np.abs(z)))
+    return inputs
+
+
 def sum_exponent(spec: SpaceSpec, alpha: float) -> float:
     """Decay exponent of the series a space sums over a power-log tail."""
     if spec.kind == "lp":
@@ -126,6 +140,12 @@ def domination_doc(cert) -> list:
 
 def digest(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()[:24]
+
+
+def estimate_digest(est) -> list:
+    """upper and a SHA-256 of the whole estimate's JSON (long witnesses)."""
+    text = json.dumps(est.to_json_dict(), sort_keys=True)
+    return [repr(est.upper), hashlib.sha256(text.encode()).hexdigest()[:24]]
 
 
 def image_doc(out) -> list:
@@ -200,6 +220,9 @@ def main() -> int:
     record(out, "fnorm/lp(2)/moderate3",
            lambda: json.dumps(f_norm_upper(finite([1e8, 5e7, 3.3e7]), lp_space(2.0)).to_json_dict(),
                               sort_keys=True))
+    for E in FNORM_SPACES[1:]:
+        for name, x in catalog_fnorm_inputs().items():
+            record(out, f"fnorm/{E.label}/{name}", lambda: estimate_digest(f_norm_upper(x, E)))
 
     for name, x in weak_l1_fnorm_inputs().items():
         for window in (1 << 14, 1 << 10, 16):

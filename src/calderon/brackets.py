@@ -17,7 +17,8 @@ point roundoff; callers shrink it by pushing N outward.  Every certified series
 follows one policy: terms summed explicitly in longdouble (`explicit_sum`) up
 to a start index doubled outward until the bracket's half-width is at most
 TAIL_TOL or the start reaches TAIL_CAP, where the wider bracket is returned
-as it stands (`tail_sum`).
+as it stands (`tail_sum`).  The explicit sum holds at most SUM_BLOCK terms
+in memory at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from scipy import special as _sp
 
 TAIL_TOL = 1e-10
 TAIL_CAP = 2 ** 24
+SUM_BLOCK = 2 ** 16
+_PAIRWISE_BLOCK = 128  # numpy sums a run of at most this many terms without splitting it
 
 
 class DivergentTailError(ArithmeticError):
@@ -144,12 +147,36 @@ def choose_tail_start(
 
 def explicit_sum(profile, first: int, stop: int, term) -> float:
     """sum_{first <= k < stop} term(profile(k), k), accumulated in longdouble
-    (0.0 for an empty range).  profile maps a float64 index array to values;
-    term combines the longdouble values with the float64 indices."""
+    (0.0 for an empty range).  profile maps a float64 array of consecutive
+    indices to the values there; term combines the longdouble values with
+    the float64 indices.
+
+    The terms are built and summed in blocks of at most SUM_BLOCK.  A range
+    is split where numpy's pairwise summation splits it, n//2 rounded down
+    to a multiple of 8, so the blocked sum equals one np.sum over the whole
+    range bit for bit."""
     if stop <= first:
         return 0.0
+    return float(_blocked_sum(profile, first, stop, term))
+
+
+def _blocked_sum(profile, first: int, stop: int, term):
+    n = stop - first
+    if n > SUM_BLOCK and n > _PAIRWISE_BLOCK:
+        mid = first + n // 2 - (n // 2) % 8
+        return _blocked_sum(profile, first, mid, term) + _blocked_sum(profile, mid, stop, term)
     ks = np.arange(first, stop, dtype=np.float64)
-    return float(np.sum(term(np.asarray(profile(ks), dtype=np.longdouble), ks)))
+    return np.sum(term(np.asarray(profile(ks), dtype=np.longdouble), ks))
+
+
+def stored_profile(values, offset: int = 0):
+    """The profile k -> values[k - offset] of a stored array, for explicit_sum."""
+
+    def profile(ks):
+        i = int(ks[0]) - offset
+        return values[i : i + len(ks)]
+
+    return profile
 
 
 def tail_sum(profile, first: int, term, alpha: float, beta: float, **tail) -> tuple[int, float, Bracket]:

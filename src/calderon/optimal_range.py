@@ -10,7 +10,11 @@ For E = weak-l1 the harmonic witness c*(x) a, a(k) = 1/(k+1), attains it:
 since a decreasing y with |y|_weak = t lies below t a, S is positive and
 (S a)(n) = (H_{n+1}+1)/(n+1), so mu(x) <= S y forces t >= c*(x).  Other
 spaces search witness shapes (mu(x), its truncations, power-log generators),
-each at its minimal admissible scale, for a certified upper bound.  For
+each at its minimal admissible scale, for a certified upper bound.  The
+search scales every shape, then evaluates E-norms in ascending order of a
+certified floor and stops when a floor exceeds the best upper end: by
+homogeneity a power-log shape g at scale c costs at least c times the lower
+end of |g|_E, so a skipped shape could not have won.  For
 weak-l1, c_a(x) = sup_n mu(n, x) (n+1) / log(n+2) characterizes membership
 (x in F iff c_a(x) < infinity) and gives a certified lower bound.
 
@@ -58,6 +62,7 @@ TAIL_ANALYTIC = "analytic_comparison"
 LOG2 = math.log(2.0)
 
 DOMINATION_TOL = 1e-12  # relative slack of check_domination, window and tail
+PRUNE_SLACK = 1e-9  # relative margin of a skipped witness's norm floor over the best
 QUASITRIANGLE_TOL = 1e-9
 
 
@@ -269,25 +274,52 @@ def check_domination(x: MuLike, y: MuLike, window: int) -> DominationCertificate
 # F-norm upper estimates
 
 
+@lru_cache(maxsize=64)
+def _shape_calderon_floor(shape: PowerLogSequence, window: int) -> np.ndarray:
+    """Lower end of S mu(shape) on [0, window), `calderon` values minus
+    half-widths, for an x-independent power-log shape: built once per
+    (shape, window) and read-only."""
+    out = calderon(decreasing_rearrangement(shape), window)
+    s_lo = out.window_values - out.tail_halfwidth_per_index
+    s_lo.setflags(write=False)
+    return s_lo
+
+
 def _candidate_scale(
     mu_x: Rearrangement, shape: MuLike, window: int
 ) -> tuple[float, str]:
     """Minimal c with mu(x) <= c * S mu(shape) certified on all of Z+,
     together with the tail argument used.  The scale is certified from the
     lower end of S mu(shape): the cached closed form for the harmonic shape,
-    else `calderon` values minus half-widths.  Returns (inf, reason) when the
+    the cached `calderon` lower end for the other power-log shapes, else
+    `calderon` values minus half-widths.  Returns (inf, reason) when the
     shape cannot dominate any scaling of x."""
     if isinstance(shape, PowerLogSequence) and shape.is_harmonic:
         s_lo = shape.scale * _harmonic_calderon_window(window)
     else:
-        out = calderon(decreasing_rearrangement(shape), window)
-        s_lo = out.window_values - out.tail_halfwidth_per_index
+        if isinstance(shape, PowerLogSequence):
+            s_lo = _shape_calderon_floor(shape, window)
+        else:
+            out = calderon(decreasing_rearrangement(shape), window)
+            s_lo = out.window_values - out.tail_halfwidth_per_index
         if float(np.min(s_lo)) <= 0.0:
             return math.inf, "witness image not positive on window"
     ratios, tail_sup, tail_argument = _domination(mu_x, shape, s_lo, window)
     if math.isinf(tail_sup):
         return math.inf, "no analytic tail rule certifies this witness shape"
     return max(float(np.max(ratios)), tail_sup), tail_argument
+
+
+@lru_cache(maxsize=128)
+def _norm_floor(E: SpaceSpec, shape: PowerLogSequence, window: int) -> float:
+    """Certified lower end of |shape|_E, value minus tail half-width (inf when
+    the E-norm diverges).  By homogeneity c * _norm_floor(E, shape, window)
+    <= |c shape|_E for c > 0, up to rounding."""
+    try:
+        nv = space_norm(E, shape, window)
+    except DivergentTailError:
+        return math.inf
+    return nv.value - nv.tail_halfwidth
 
 
 def _scaled_shape(shape: MuLike, c: float) -> MuLike:
@@ -308,9 +340,17 @@ def f_norm_upper(
     """Best certified upper bound of the F quasi-norm of x over the witness
     shapes, each at its minimal admissible scale: `upper` is the upper end of
     the bracket of |y|_E (value plus tail half-width), and candidates are
-    ranked by it.  For E = weak-l1 the
-    harmonic shape alone attains f = c* (module docstring); the lower bound
-    there is the certified floor c_a(x) log 2 / 2.
+    ranked by it.  For E = weak-l1 the harmonic shape alone attains f = c*
+    (module docstring); the lower bound there is the certified floor
+    c_a(x) log 2 / 2.
+
+    The search scales every shape first, then evaluates E-norms in ascending
+    order of a certified floor: 0 for a finite shape, c * _norm_floor for a
+    power-log shape at scale c.  It stops at the first floor above the best
+    upper end times 1 + PRUNE_SLACK.  Each skipped shape's upper end is at
+    least its floor, up to rounding far below PRUNE_SLACK, so it is strictly
+    worse than the best and could not have won.  Ties go to the earlier
+    shape.  The answer is therefore the one the full scan returns.
 
     Raises NoWitnessFoundError when no shape certifies; for E = weak-l1 the
     error is accompanied by the certified divergence of c_a(x) (x is then
@@ -341,13 +381,20 @@ def f_norm_upper(
         shapes += [finite(mu_x.head(L)) for L in levels if L < support]
         shapes.append(finite(mu_x.values) if levels[-1] >= support else mu_x)
 
-    best: Optional[tuple[float, MuLike]] = None
     reasons = []
-    for shape in shapes:
+    candidates = []  # (floor, index, shape, scale)
+    for i, shape in enumerate(shapes):
         c, tail_argument = _candidate_scale(mu_x, shape, window)
         if math.isinf(c) or c == 0.0:
             reasons.append(tail_argument)
             continue
+        floor = c * _norm_floor(E, shape, window) if isinstance(shape, PowerLogSequence) else 0.0
+        candidates.append((floor, i, shape, c))
+
+    best: Optional[tuple[float, int, MuLike]] = None
+    for floor, i, shape, c in sorted(candidates, key=lambda cand: cand[:2]):
+        if best is not None and floor > best[0] * (1.0 + PRUNE_SLACK):
+            break  # this shape and every later one is strictly worse
         y = _scaled_shape(shape, c)
         try:
             nv = space_norm(E, y, window)
@@ -360,13 +407,13 @@ def f_norm_upper(
         if e_norm == 0.0:
             reasons.append("witness E-norm underflows")
             continue
-        if best is None or e_norm < best[0]:
-            best = (e_norm, y)
+        if best is None or (e_norm, i) < best[:2]:
+            best = (e_norm, i, y)
     if best is None:
         raise NoWitnessFoundError(
             f"no candidate witness certifies (inconclusive): {sorted(set(reasons))}"
         )
-    upper, y = best
+    upper, _, y = best
     cert = check_domination(mu_x, y, window)
     lower = None if member is None else min(member.c_a * LOG2 / 2.0, upper)
     return FNormEstimate(upper, lower, cert)

@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .brackets import Bracket, ZERO_BRACKET, explicit_sum, powerlog_profile, tail_sum
+from .brackets import Bracket, ZERO_BRACKET, explicit_sum, powerlog_profile, stored_profile, tail_sum
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -406,14 +406,14 @@ def weighted_tail_sum(x: Union[Sequence, Rearrangement], n: int) -> Bracket:
         if x.domain is not IndexDomain.HALF_LINE:
             raise DomainMismatchError("weighted tail sums live on the half line")
         a = max(n + 1, x.offset, 1)
-        total = explicit_sum(lambda ks: x.values[a - x.offset :], a, x.end, _over_k)
+        total = explicit_sum(stored_profile(x.values, x.offset), a, x.end, _over_k)
         return Bracket(total, total)
     if isinstance(x, PowerLogSequence):
         return _powerlog_weighted_tail(x, n)
     if isinstance(x, Rearrangement):
         W = len(x.values)
         a = max(n + 1, 1)
-        t = explicit_sum(lambda ks: x.values[a:], a, W, _over_k)
+        t = explicit_sum(stored_profile(x.values), a, W, _over_k)
         head_part = Bracket(t, t)
         if x.tail.is_zero:
             return head_part

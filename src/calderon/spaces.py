@@ -35,6 +35,7 @@ from .brackets import (
     explicit_sum,
     powerlog_tail,
     ratio_profile_sup,
+    stored_profile,
     tail_sum,
 )
 from .sequences import (
@@ -208,7 +209,7 @@ def lp_norm(x: MuLike, p: float, window: int = 65536) -> NormValue:
     def power(v, ks):
         return v ** p
 
-    head_sum = explicit_sum(lambda ks: head, 0, len(head), power)
+    head_sum = explicit_sum(stored_profile(head), 0, len(head), power)
     start, gap, rem = tail_sum(t.values_at, len(head), power, t.alpha * p, t.beta * p, scale=t.scale ** p)
     total = rem.shifted(head_sum + gap)
     b = Bracket(total.lo ** (1.0 / p), total.hi ** (1.0 / p))
@@ -239,7 +240,7 @@ def llog_norm(x: MuLike, window: int = 65536) -> NormValue:
     def over_n1(v, ks):
         return v / (ks + 1.0)
 
-    head_sum = explicit_sum(lambda ks: head, 0, len(head), over_n1)
+    head_sum = explicit_sum(stored_profile(head), 0, len(head), over_n1)
     if mu.tail.is_zero:
         return NormValue(head_sum, 0.0, max(window, len(head)))
     t = mu.tail
@@ -255,7 +256,7 @@ def lorentz_phi_norm(x: MuLike, phi: PhiTemplate, window: int = 65536) -> NormVa
     def weighted(v, ks):
         return v * phi.increments(ks)
 
-    head_sum = explicit_sum(lambda ks: head, 0, len(head), weighted)
+    head_sum = explicit_sum(stored_profile(head), 0, len(head), weighted)
     if mu.tail.is_zero:
         return NormValue(head_sum, 0.0, max(window, len(head)))
     t = mu.tail

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +201,32 @@ def test_fnorm_beyond_the_double_range_exits_one_in_every_space(capsys, big_file
     assert code == 1
     assert captured.out == ""
     assert "could not certify" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_fnorm_lp2_of_a_moderate_input_keeps_memory_bounded(tmp_path):
+    # the harmonic witness at scale 5e7 sums 2^24 lp terms: in blocks, not
+    # all at once (about 700 MB).  The child reads the peak of its own
+    # address space, VmHWM: ru_maxrss keeps the forking process's peak
+    # across exec.
+    p = tmp_path / "moderate.json"
+    p.write_text(json.dumps(
+        {"kind": "finite", "domain": "half_line", "offset": 0, "values": [1e8, 5e7, 3.3e7]}
+    ))
+    child = (
+        "import sys\n"
+        "from calderon import cli\n"
+        "code = cli.main(['optrange', 'fnorm', '--space', 'lp:2', '--in', sys.argv[1]])\n"
+        "hwm = [ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')][0].split()[1]\n"
+        "print(code, hwm, file=sys.stderr)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", child, str(p)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    code, peak_kb = (int(v) for v in done.stderr.split()[-2:])
+    assert code == 0 and json.loads(done.stdout)["witness"]["window_verified"] is True
+    assert peak_kb < 300 * 1024
 
 
 def test_norm_space_file(capsys, impulse_file, tmp_path):

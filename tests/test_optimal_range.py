@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from calderon.optimal_range import (
     GridConfig,
     NoWitnessFoundError,
     _candidate_scale,
+    _norm_floor,
     _scaled_shape,
     check_domination,
     f_norm_upper,
@@ -38,7 +40,11 @@ from calderon.sequences import (
     finite,
     power_log,
 )
-from calderon.spaces import LLOG, M1INF, WEAK_L1, axiom_check, lp_space, space_norm
+from calderon import optimal_range
+from calderon.spaces import LLOG, LOG1P, M1INF, WEAK_L1, SpaceSpec, axiom_check, lp_space, space_norm
+
+LORENTZ_LOG1P = SpaceSpec(kind="lorentz_phi", phi=LOG1P)
+CATALOG_SPACES = (LLOG, lp_space(2.0), LORENTZ_LOG1P, M1INF)
 
 SMALL_GRID = GridConfig(window=1 << 10)
 
@@ -323,6 +329,74 @@ def test_f_lp2_of_tiny_finite_input_is_positive():
     # are skipped, and the finite mu(x) witness certifies a positive bound
     est = f_norm_upper(finite([1e-300, 3e-301]), lp_space(2.0), SMALL_GRID)
     assert est.upper > 0.0 and est.witness.verified
+
+
+# ---------------------------------------------------------------------------
+# the pruned witness search
+
+
+def _estimate_or_error(x, E):
+    try:
+        return f_norm_upper(x, E, SMALL_GRID).to_json_dict()
+    except (NoWitnessFoundError, ArithmeticError) as e:
+        return {"error": type(e).__name__, "message": str(e)}
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(st.one_of(wide_finite, in_range_profiles), st.sampled_from(CATALOG_SPACES))
+def test_pruned_search_equals_the_exhaustive_scan(x, E):
+    # with every floor 0 nothing is skipped: the scan of every candidate
+    pruned = _estimate_or_error(x, E)
+    with mock.patch.object(optimal_range, "_norm_floor", lambda E, shape, window: 0.0):
+        exhaustive = _estimate_or_error(x, E)
+    assert pruned == exhaustive
+
+
+FLOOR_SHAPES = [power_log(1.0, 0.0)] + [power_log(a, b) for a, b in GENERATORS]
+
+
+@pytest.mark.parametrize("E", (WEAK_L1,) + CATALOG_SPACES, ids=lambda E: E.label)
+@pytest.mark.parametrize("shape", FLOOR_SHAPES, ids=lambda g: f"pl({g.alpha},{g.beta})")
+def test_scaled_norm_floor_is_below_the_certified_upper_end(E, shape):
+    # c |g|_E = |c g|_E: the floor at scale 1 times c may exceed the lower
+    # end at scale c by rounding, never the upper end by more than 1e-12
+    for window in (16, 1 << 10, 1 << 14):
+        floor = _norm_floor(E, shape, window)
+        for c in (1e-3, 0.37, 1.0, 2.5, 300.0):
+            try:
+                nv = space_norm(E, _scaled_shape(shape, c), window)
+            except DivergentTailError:
+                assert math.isinf(floor)
+                continue
+            upper = nv.value + nv.tail_halfwidth
+            assert c * floor <= upper * (1.0 + 1e-12), (window, c)
+            assert not math.isinf(floor) or math.isinf(upper)
+
+
+def test_search_norms_only_finite_shapes_when_mu_x_wins():
+    # mu(x) of a long normal support costs far less than c* |a|_2: every
+    # power-log floor exceeds it, so no scaled power-log witness is normed
+    x = finite(family_rng("test-prune", 3).standard_normal(3000))
+    E = lp_space(2.0)
+    f_norm_upper(x, E)  # fill the floor caches
+    normed = []
+
+    def spy(E, y, window=65536):
+        normed.append(type(y))
+        return space_norm(E, y, window)
+
+    with mock.patch.object(optimal_range, "space_norm", spy):
+        est = f_norm_upper(x, E)
+    assert normed and set(normed) == {FiniteSequence}
+    assert isinstance(est.witness.y, FiniteSequence) and est.witness.verified
+
+
+def test_f_lp2_of_a_long_support_near_the_double_range():
+    # the harmonic witness's lp norm overflows, but it cannot win: the finite
+    # mu(x) certifies |x|_2 = 1e300 sqrt(3000)
+    est = f_norm_upper(finite([1e300] * 3000), lp_space(2.0))
+    assert est.upper == pytest.approx(1e300 * math.sqrt(3000.0), rel=1e-15)
+    assert isinstance(est.witness.y, FiniteSequence) and est.witness.verified
 
 
 # ---------------------------------------------------------------------------

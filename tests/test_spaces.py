@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import zeta
 
-from calderon.brackets import TAIL_TOL, DivergentTailError
+from calderon import brackets
+from calderon.brackets import TAIL_TOL, DivergentTailError, explicit_sum, stored_profile
 from calderon.families import POWER_LOG_GRID
 from calderon.sequences import decreasing_rearrangement, finite, power_log, weighted_tail_sum
 from calderon.spaces import (
@@ -288,6 +289,28 @@ def test_tail_bracket_contains_oracle_for_weighted_tail_at_the_cap():
     lo, hi = _oracle_sum(lambda u, xp: _profile(1.0, 2.0, 1000.0, u, xp) / u, 1)
     assert got.lo <= hi * (1.0 + 1e-12)
     assert lo * (1.0 - 1e-12) <= got.hi
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 129, 10_003])
+def test_blocked_explicit_sum_equals_one_numpy_sum_bitwise(monkeypatch, n):
+    # blocks split where numpy's pairwise summation splits, so the bits agree;
+    # numpy sums runs of up to 128 terms unsplit, so no block is shorter
+    monkeypatch.setattr(brackets, "SUM_BLOCK", 64)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    blocks = []
+
+    def profile(ks):
+        blocks.append(len(ks))
+        return stored_profile(vals, 5)(ks)
+
+    def term(v, ks):
+        return v * (ks + 0.5)
+
+    got = explicit_sum(profile, 5, 5 + n, term)
+    ks = np.arange(5, 5 + n, dtype=np.float64)
+    assert got == float(np.sum(np.asarray(vals, dtype=np.longdouble) * (ks + 0.5)))
+    assert sum(blocks) == n and max(blocks) <= 128
 
 
 # ---------------------------------------------------------------------------
