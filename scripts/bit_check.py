@@ -17,7 +17,12 @@ on a moderate finite input, plus finite normal supports of length 1000 to
 8000 in the four spaces that search the full catalog, where the finite
 witness wins and the search skips the power-log shapes), and the
 `check_domination` verdicts of those wide finite inputs against their own
-weak-l1 witness scaled by 1 and 0.999.
+weak-l1 witness scaled by 1 and 0.999.  Magnitude edges: `weak_l1_membership`
+and the weak-l1 `f_norm_upper` on 3000 entries of 1e300 and of 1e305, the
+power-log profiles of the `fnorm_mix` workload at negative scales (-1 and
+-0.37) in membership and in `f_norm_upper` over their workload spaces, and
+`f_norm_upper` over lorentz:log1p on [1e308] and over m1inf on [1e307]*3,
+where power-log witnesses are scaled near the double range.
 
 Sums whose decay exponent lies in (1, 2) are left out: there the explicit
 sum runs toward the 2^24-term cap and a single call takes seconds.  The
@@ -60,6 +65,11 @@ SPACES = (
     SUM_SPACE,
 )
 FNORM_SPACES = (WEAK_L1, LLOG, lp_space(2.0), SpaceSpec(kind="lorentz_phi", phi=LOG1P), M1INF)
+# the power-log profiles of the fnorm_mix workload: IN_RANGE over every
+# space of FNORM_SPACES, OUTSIDE over weak-l1 only
+IN_RANGE = ((1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (1.25, 0.0), (1.5, 0.0), (1.5, 1.0),
+            (2.0, 0.0), (2.0, 2.0))
+OUTSIDE = ((0.5, 0.0), (0.75, 0.0), (0.9, 0.0), (0.75, 1.0), (1.0, 1.5), (1.0, 2.0))
 
 
 def finite_inputs() -> dict:
@@ -235,6 +245,21 @@ def main() -> int:
                 record(out, f"domination/{name}/y*{factor}",
                        lambda: domination_doc(check_domination(x, power_log(y.alpha, y.beta, factor * y.scale),
                                                                1 << 14)))
+
+    def fnorm_json(x, E):
+        return json.dumps(f_norm_upper(x, E).to_json_dict(), sort_keys=True)
+
+    for name, x in {"1e300x3000": finite([1e300] * 3000), "1e305x3000": finite([1e305] * 3000)}.items():
+        record(out, f"member/{name}", lambda: member_doc(weak_l1_membership(x)))
+        record(out, f"fnorm/weak_l1/{name}", lambda: fnorm_json(x, WEAK_L1))
+    for s in (-1.0, -0.37):
+        for a, b in IN_RANGE + OUTSIDE:
+            x = power_log(a, b, s)
+            record(out, f"member/pl({a},{b},{s})", lambda: member_doc(weak_l1_membership(x)))
+            for E in FNORM_SPACES if (a, b) in IN_RANGE else (WEAK_L1,):
+                record(out, f"fnorm/{E.label}/pl({a},{b},{s})", lambda: fnorm_json(x, E))
+    for E, values in ((FNORM_SPACES[3], [1e308]), (M1INF, [1e307] * 3)):
+        record(out, f"fnorm/{E.label}/{values[0]:g}x{len(values)}", lambda: fnorm_json(finite(values), E))
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)

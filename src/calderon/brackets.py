@@ -189,9 +189,20 @@ def tail_sum(profile, first: int, term, alpha: float, beta: float, **tail) -> tu
 
 
 def powerlog_profile(k, alpha: float, beta: float, scale: float):
-    """scale * log(k+2)**beta / (k+1)**alpha at the indices k (float64)."""
+    """scale * log(k+2)**beta / (k+1)**alpha at the indices k (float64).
+
+    A scale of magnitude 2**512 or more is split as m * 2**e with |m| in
+    [0.5, 1): the profile is formed at scale m and rescaled once, so the
+    product with the log factor cannot overflow on the way.  The power-of-two
+    rescale is exact, so the values are those of the direct formula wherever
+    that formula stays inside the double range.  Below 2**512 only a log
+    factor above 2**512 could overflow the product, and the direct formula
+    is kept: it saves a pass over k."""
     k = np.asarray(k, dtype=np.float64)
-    return scale * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha
+    if abs(scale) < 2.0 ** 512:
+        return scale * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha
+    m, e = math.frexp(scale)
+    return np.ldexp(m * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha, e)
 
 
 def ratio_profile_sup(a: float, b: float, start: int, scale: float = 1.0) -> float:

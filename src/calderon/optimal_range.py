@@ -26,6 +26,10 @@ finitely supported x, or by a certified ratio bound for power-log tails (the
 harmonic witness uses (S mu(a))(n) = (H_{n+1}+1)/(n+1) > log(n+2)/(n+1);
 general witnesses use the partial-sum lower bound S mu(y)(n) >= P_y(W)/(n+1)
 for n >= W).
+
+The property measurements at the end (quasi-triangle sides, minimality
+probes, the upper constant of H against S mu) return numbers; `suites.py`
+turns them into report cases.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ from typing import Optional, Sequence as TySequence, Union
 import numpy as np
 
 from .brackets import DivergentTailError, ratio_profile_sup
-from .operators import calderon
-from .report import CaseResult, FAIL, PASS
+from .operators import METHOD_FAST, calderon, hilbert_symmetric
 from .sequences import (
     FiniteSequence,
     IndexDomain,
@@ -47,6 +50,7 @@ from .sequences import (
     PowerLogTail,
     Rearrangement,
     Sequence,
+    add_scaled,
     decreasing_rearrangement,
     finite,
     harmonic_number,
@@ -63,7 +67,6 @@ LOG2 = math.log(2.0)
 
 DOMINATION_TOL = 1e-12  # relative slack of check_domination, window and tail
 PRUNE_SLACK = 1e-9  # relative margin of a skipped witness's norm floor over the best
-QUASITRIANGLE_TOL = 1e-9
 
 
 class NoWitnessFoundError(RuntimeError):
@@ -189,27 +192,36 @@ class MembershipResult:
 def weak_l1_membership(x: MuLike, window: int = 1 << 14) -> MembershipResult:
     """c_a(x) = sup_n mu(n, x)(n+1)/log(n+2); member iff finite.  A window
     sup beyond the double range raises OverflowError (inf means divergence)."""
+    tail_sup = None
     if isinstance(x, PowerLogSequence):
-        # the rearrangement keeps the profile's own tail, so divergence of
-        # c_a is decided by the tail alone -- no head resolution needed
-        # (profiles with alpha < 1 may not settle within any desk-scale cap)
-        profile_sup = ratio_profile_sup(x.alpha - 1.0, x.beta - 1.0, window, scale=x.scale)
-        if math.isinf(profile_sup):
+        # the rearrangement keeps the profile's own tail (at scale |x.scale|,
+        # from index window on), so divergence of c_a is decided by the tail
+        # alone -- no head resolution needed (profiles with alpha < 1 may not
+        # settle within any desk-scale cap)
+        tail_sup = ratio_profile_sup(x.alpha - 1.0, x.beta - 1.0, window, scale=abs(x.scale))
+        if math.isinf(tail_sup):
             return MembershipResult(False, math.inf)
     mu = decreasing_rearrangement(x)
     head = _mu_head(mu, window)
     W = len(head)
     if W == 0 and mu.tail.is_zero:
         return MembershipResult(True, 0.0)
-    ns = np.arange(W, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        window_sup = float(np.max(head * (ns + 1.0) / np.log(ns + 2.0))) if W else 0.0
-    if math.isinf(window_sup):
-        raise OverflowError("c_a over the window exceeds the double range")
+    window_sup = 0.0
+    if W:
+        # on head / 2^e, e the exponent of mu(0) = max head, no intermediate
+        # overflows; the power-of-two rescale is exact
+        e = math.frexp(head[0])[1]
+        ns = np.arange(W, dtype=np.float64)
+        scaled_sup = float(np.max(np.ldexp(head, -e) * (ns + 1.0) / np.log(ns + 2.0)))
+        try:
+            window_sup = math.ldexp(scaled_sup, e)
+        except OverflowError:
+            raise OverflowError("c_a over the window exceeds the double range") from None
     if mu.tail.is_zero:
         return MembershipResult(True, window_sup)
-    t = mu.tail
-    tail_sup = ratio_profile_sup(t.alpha - 1.0, t.beta - 1.0, W, scale=t.scale)
+    if tail_sup is None:
+        t = mu.tail
+        tail_sup = ratio_profile_sup(t.alpha - 1.0, t.beta - 1.0, W, scale=t.scale)
     if math.isinf(tail_sup):
         return MembershipResult(False, math.inf)
     return MembershipResult(True, max(window_sup, tail_sup))
@@ -420,39 +432,24 @@ def f_norm_upper(
 
 
 # ---------------------------------------------------------------------------
-# property drivers
+# measurements (suites.py turns them into cases)
 
 
-def verify_f_quasitriangle(
+def f_quasitriangle_pairs(
     E: SpaceSpec,
     pairs: TySequence[tuple[FiniteSequence, FiniteSequence]],
     c_E: float,
     search: GridConfig = DEFAULT_GRID,
-) -> CaseResult:
-    """f(x1+x2) <= 2 c_E^2 (f(x1) + f(x2)) over the given pairs."""
-    from .sequences import add_scaled
-
-    violations = 0
-    worst = 0.0
+) -> list[tuple[float, float]]:
+    """The two sides (f(x1+x2), 2 c_E^2 (f(x1) + f(x2))) of the F
+    quasi-triangle inequality for each given pair, f read as `upper`."""
+    sides = []
     for x1, x2 in pairs:
         f1 = f_norm_upper(x1, E, search).upper
         f2 = f_norm_upper(x2, E, search).upper
         f12 = f_norm_upper(add_scaled(x1, 1.0, x2, 1.0), E, search).upper
-        bound = 2.0 * c_E * c_E * (f1 + f2)
-        if bound == 0.0:
-            ok = f12 == 0.0
-            ratio = 0.0 if ok else math.inf
-        else:
-            ratio = f12 / bound
-            ok = f12 <= bound * (1.0 + QUASITRIANGLE_TOL)
-        worst = max(worst, ratio)
-        violations += not ok
-    return CaseResult(
-        name=f"f_quasitriangle_{E.kind}",
-        status=PASS if violations == 0 else FAIL,
-        observed_constant=worst,
-        note=f"{violations} violations over {len(pairs)} pairs (measured c_E={c_E:.6g})",
-    )
+        sides.append((f12, 2.0 * c_E * c_E * (f1 + f2)))
+    return sides
 
 
 @dataclass
@@ -524,53 +521,24 @@ def verify_minimality(
     return probes
 
 
-@dataclass(frozen=True)
-class HilbertRangeSandwich:
-    upper_constant: float
-    upper_constant_doubled: float
-    lower_min_slack_ratio: float
-
-
-def verify_hilbert_optimal_range(
-    l1_family: TySequence[FiniteSequence],
-    monotone_family: TySequence[FiniteSequence],
-    out_window: int = 1 << 12,
-    check_len: int = 512,
-) -> HilbertRangeSandwich:
-    """Two-sided sandwich around the transform:
-
-    upper: mu(H x)(n) <= C1 (S mu(x))(n) on certified rearrangement heads over
-    the l1 family, C1 reported at the window and its double; lower: the
-    (1/(2 pi)) S x(n) <= |H x(-n)| inequality over the monotone family, the
-    minimal ratio |H x(-n)| / ((1/(2 pi)) S x(n)) reported (>= 1 means pass).
-    """
-    from .operators import METHOD_FAST, hilbert, hilbert_symmetric
-
-    uppers = []
-    for W in (out_window, 2 * out_window):
-        worst = 0.0
-        for x in l1_family:
-            xl = FiniteSequence(IndexDomain.LINE, x.offset, x.values)
-            h = hilbert_symmetric(xl, W, METHOD_FAST)
-            mu_h = np.sort(np.abs(h.window_values))[::-1]
-            # the first head entries of the windowed rearrangement are the true
-            # ones as long as they exceed the window-edge envelope |x|_1/(pi d)
-            support_radius = max(abs(x.offset), abs(x.end - 1)) + 1
-            edge = x.l1() / (math.pi * max(W - support_radius, 1))
-            head = min(check_len, int(np.searchsorted(-mu_h, -edge)))
-            if head == 0:
-                continue
-            smu = calderon(decreasing_rearrangement(x), head).window_values
-            worst = max(worst, float(np.max(mu_h[:head] / smu)))
-        uppers.append(worst)
-    min_ratio = math.inf
-    for x in monotone_family:
-        sx = calderon(x, check_len + 1).window_values[1:]
+def hilbert_upper_constant(
+    l1_family: TySequence[FiniteSequence], out_window: int, check_len: int
+) -> float:
+    """Smallest C1 with mu(H x)(n) <= C1 (S mu(x))(n) on the certified
+    rearrangement heads, of at most check_len entries, of H x read on
+    [-out_window, out_window], over the family."""
+    worst = 0.0
+    for x in l1_family:
         xl = FiniteSequence(IndexDomain.LINE, x.offset, x.values)
-        h = hilbert(xl, -check_len, -1, METHOD_FAST)
-        rhs = np.abs(h.window_values[::-1])
-        lhs = sx / (2.0 * math.pi)
-        mask = lhs > 0
-        if np.any(mask):
-            min_ratio = min(min_ratio, float(np.min(rhs[mask] / lhs[mask])))
-    return HilbertRangeSandwich(uppers[0], uppers[1], min_ratio)
+        h = hilbert_symmetric(xl, out_window, METHOD_FAST)
+        mu_h = np.sort(np.abs(h.window_values))[::-1]
+        # the first head entries of the windowed rearrangement are the true
+        # ones as long as they exceed the window-edge envelope |x|_1/(pi d)
+        support_radius = max(abs(x.offset), abs(x.end - 1)) + 1
+        edge = x.l1() / (math.pi * max(out_window - support_radius, 1))
+        head = min(check_len, int(np.searchsorted(-mu_h, -edge)))
+        if head == 0:
+            continue
+        smu = calderon(decreasing_rearrangement(x), head).window_values
+        worst = max(worst, float(np.max(mu_h[:head] / smu)))
+    return worst

@@ -8,9 +8,10 @@ a report, so identical (seed, config) runs serialize to identical bytes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import IO, Optional
+
+from .sequences import json_safe_float
 
 PASS = "pass"
 FAIL = "fail"
@@ -128,15 +129,3 @@ def emit_values_csv(indices, values, halfwidths, fh: IO[str]) -> None:
     fh.write("index,value,tail_halfwidth\n")
     for i, v, h in zip(indices, values, halfwidths):
         fh.write(f"{int(i)},{fmt17(v)},{fmt17(h)}\n")
-
-
-def json_safe_float(v: Optional[float]):
-    """Floats for report payloads: inf/nan become strings so strict JSON
-    consumers are not surprised; None passes through."""
-    if v is None:
-        return None
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
-    if math.isnan(v):
-        return "NaN"
-    return float(v)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -494,6 +494,18 @@ def json_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def json_safe_float(v: Optional[float]):
+    """Floats for wire payloads: inf/nan become strings so strict JSON
+    consumers are not surprised; None passes through."""
+    if v is None:
+        return None
+    if math.isinf(v):
+        return "Infinity" if v > 0 else "-Infinity"
+    if math.isnan(v):
+        return "NaN"
+    return float(v)
 
 
 def sequence_to_json(x: Sequence) -> dict:

@@ -45,6 +45,7 @@ from .sequences import (
     decreasing_rearrangement,
     harmonic_number,
     json_number,
+    json_safe_float,
 )
 
 INFINITE = math.inf
@@ -165,8 +166,6 @@ class NormValue:
         return math.isinf(self.value)
 
     def to_json_dict(self) -> dict:
-        from .report import json_safe_float
-
         return {
             "value": json_safe_float(self.value),
             "tail_halfwidth": float(self.tail_halfwidth),

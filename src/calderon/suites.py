@@ -22,28 +22,27 @@ from .families import (
     generate_family,
 )
 from .operators import (
+    METHOD_FAST,
+    METHOD_NAIVE,
     calderon,
     calderon_min_kernel,
     dilation_commutation_band,
-    estimate_hardy_constant,
     estimate_weak11_constant,
     fast_naive_agreement,
-    hilbert_even_cancellation,
+    hardy_ratio,
+    hilbert,
     hilbert_symmetric,
-    verify_hilbert_lower_bound,
-    verify_kernel_monotonicity,
-    verify_linearity,
-    verify_pointwise_domination,
-    verify_sd_rearrangement_fixed,
+    kernel_values,
+    reflected_lower_pair,
 )
 from .optimal_range import (
     GridConfig,
     NoWitnessFoundError,
     check_domination,
     f_norm_upper,
+    f_quasitriangle_pairs,
     harmonic_calderon_closed_form,
-    verify_f_quasitriangle,
-    verify_hilbert_optimal_range,
+    hilbert_upper_constant,
     verify_minimality,
     weak_l1_membership,
 )
@@ -81,6 +80,7 @@ SUITE_NAMES = ("core", "norms", "operators", "optrange", "all")
 OPTRANGE_SUBSUITES = ("quasitriangle", "minimality", "hilbert")
 
 LOG2 = math.log(2.0)
+QUASITRIANGLE_TOL = 1e-9  # relative slack of f(x1+x2) <= 2 c_E^2 (f(x1) + f(x2))
 
 
 def _case(name: str, ok: bool, observed: Optional[float], note: str, witness=None) -> CaseResult:
@@ -111,6 +111,11 @@ def _scan_case(name: str, note: str, seed: int, failures, count: bool = False) -
             break
     witness = None if first is None else {"seed": seed, **first}
     return _case(name, first is None, float(violations) if count else None, note, witness)
+
+
+def _exceeds(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> bool:
+    """Whether lhs <= rhs fails anywhere beyond the slack tol * max(1, |rhs|)."""
+    return bool(np.any(lhs - rhs - tol * np.maximum(1.0, np.abs(rhs)) > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +421,17 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
     cases: List[CaseResult] = []
     seed = config.seed
     window = max(16, config.window)
+    small = min(window, 256)
 
     rng = family_rng("operators/linearity", seed)
     worst = 0.0
     for _ in range(50):
         x1 = finite(rng.standard_normal(int(rng.integers(1, 48))))
         x2 = finite(rng.standard_normal(int(rng.integers(1, 48))))
-        res = verify_linearity(
-            x1,
-            x2,
-            float(rng.standard_normal()),
-            float(rng.standard_normal()),
-            window=min(window, 256),
-            tol=config.tolerance_exact,
-        )
-        worst = max(worst, res.observed_constant or 0.0)
+        a1, a2 = float(rng.standard_normal()), float(rng.standard_normal())
+        lhs = calderon(add_scaled(x1, a1, x2, a2), small).window_values
+        rhs = a1 * calderon(x1, small).window_values + a2 * calderon(x2, small).window_values
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / max(float(np.max(np.abs(rhs))), 1.0))
     cases.append(
         _case(
             "calderon_linearity",
@@ -448,7 +449,7 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
             seed,
             (
                 i
-                for i, v in enumerate(calderon(x, min(window, 256)).window_values for x in mono)
+                for i, v in enumerate(calderon(x, small).window_values for x in mono)
                 if np.any(v < -1e-15) or np.any(np.diff(v) > 1e-15)
             ),
         )
@@ -458,8 +459,8 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
     worst = 0.0
     for _ in range(50):
         x = finite(rng.standard_normal(int(rng.integers(1, 64))))
-        a = calderon(x, min(window, 256)).window_values
-        b = calderon_min_kernel(x, min(window, 256)).window_values
+        a = calderon(x, small).window_values
+        b = calderon_min_kernel(x, small).window_values
         worst = max(worst, float(np.max(np.abs(a - b))))
     cases.append(
         _case(
@@ -470,7 +471,24 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
         )
     )
 
-    cases.append(verify_kernel_monotonicity(rows=(0, 1, 2, 7, 64), k_max=512))
+    rows, k_max = (0, 1, 2, 7, 64), 512
+    cases.append(
+        _case(
+            "kernel_monotonicity",
+            not any(np.any(np.diff(kernel_values(n, np.arange(1, k_max + 1))) > 0) for n in rows),
+            None,
+            f"rows {list(rows)}, k up to {k_max}",
+        )
+    )
+
+    def domination_failures(family):
+        for i, x in enumerate(family):
+            sx = calderon(x, small)
+            smu = calderon(decreasing_rearrangement(x), small)
+            lhs = np.abs(sx.window_values) - sx.tail_halfwidth_per_index
+            rhs = smu.window_values + smu.tail_halfwidth_per_index
+            if _exceeds(lhs, rhs, config.tolerance_exact):
+                yield i
 
     signed = generate_family(FAMILY_RANDOM_SIGNED, config.trials, seed)
     cases.append(
@@ -478,15 +496,14 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
             "pointwise_domination_by_rearranged_image",
             f"|S x| <= S mu(x) pointwise over {len(signed)} signed sequences",
             seed,
-            (
-                i
-                for i, x in enumerate(signed)
-                if verify_pointwise_domination(x, min(window, 256), tol=config.tolerance_exact).status
-                != PASS
-            ),
+            domination_failures(signed),
             count=True,
         )
     )
+
+    def rearrangement_fixed(x) -> bool:
+        v = calderon(decreasing_rearrangement(x), small).window_values
+        return bool(np.all(np.diff(v) <= 0)) and np.array_equal(np.sort(v)[::-1], v)
 
     probes = mono[:50] + [finite(1.0 / (np.arange(64) + 1.0))]
     cases.append(
@@ -494,11 +511,7 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
             "image_of_monotone_is_own_rearrangement",
             "S mu(x) is nonincreasing and equal to its sorted self, bitwise",
             seed,
-            (
-                i
-                for i, x in enumerate(probes)
-                if verify_sd_rearrangement_fixed(x, min(window, 256)).status != PASS
-            ),
+            (i for i, x in enumerate(probes) if not rearrangement_fixed(x)),
         )
     )
 
@@ -511,8 +524,7 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
             (
                 i
                 for i, x in enumerate(mono[: min(config.trials, 50)])
-                if verify_hilbert_lower_bound(x, lower_window, tol=config.tolerance_exact).status
-                != PASS
+                if _exceeds(*reflected_lower_pair(x, lower_window, METHOD_NAIVE), config.tolerance_exact)
             ),
             count=True,
         )
@@ -551,7 +563,9 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
 
     hardy_fam = generate_family(FAMILY_RANDOM_SIGNED, config.trials, seed)
     for p in (1.5, 2.0, 3.0):
-        cases.append(estimate_hardy_constant(p, hardy_fam))
+        bound = p + p / (p - 1.0)
+        worst = hardy_ratio(p, hardy_fam)
+        cases.append(_case(f"hardy_constant_p{p:g}", worst <= bound + 1e-6, worst, f"bound {bound:g}"))
 
     rng = family_rng("operators/fast_naive", seed)
     v = rng.standard_normal(1 << 12)
@@ -574,7 +588,8 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
             even = FiniteSequence(
                 IndexDomain.LINE, -len(half), np.concatenate([half[::-1], [0.0], half])
             )
-            if hilbert_even_cancellation(even, tol=config.tolerance_exact).status != PASS:
+            h0 = hilbert(even, 0, 0, METHOD_NAIVE).value_at(0)
+            if not abs(h0) / max(even.l1(), 1.0) <= config.tolerance_exact:
                 yield i
 
     cases.append(
@@ -620,7 +635,24 @@ def _optrange_quasitriangle_cases(config: RunConfig) -> List[CaseResult]:
         b = finite(rng.standard_normal(int(rng.integers(1, cap))))
         pairs.append((a, b))
     c_E = axiom_check(WEAK_L1, trials=config.trials, seed=seed).quasi_triangle_modulus
-    return [verify_f_quasitriangle(WEAK_L1, pairs, c_E=c_E, search=grid)]
+    violations, worst = 0, 0.0
+    for f12, bound in f_quasitriangle_pairs(WEAK_L1, pairs, c_E=c_E, search=grid):
+        if bound == 0.0:
+            ok = f12 == 0.0
+            ratio = 0.0 if ok else math.inf
+        else:
+            ratio = f12 / bound
+            ok = f12 <= bound * (1.0 + QUASITRIANGLE_TOL)
+        worst = max(worst, ratio)
+        violations += not ok
+    return [
+        _case(
+            f"f_quasitriangle_{WEAK_L1.kind}",
+            violations == 0,
+            worst,
+            f"{violations} violations over {len(pairs)} pairs (measured c_E={c_E:.6g})",
+        )
+    ]
 
 
 def _optrange_minimality_cases(config: RunConfig) -> List[CaseResult]:
@@ -679,22 +711,27 @@ def _optrange_hilbert_cases(config: RunConfig) -> List[CaseResult]:
         v /= np.sum(np.abs(v))
         l1fam.append(finite(v))
         monofam.append(finite(np.sort(rng.random(int(rng.integers(4, 48))))[::-1]))
-    sw = verify_hilbert_optimal_range(l1fam, monofam, out_window=1 << 12, check_len=512)
-    drift = abs(sw.upper_constant_doubled - sw.upper_constant) / max(sw.upper_constant, 1e-300)
-    ok = (
-        0.0 < sw.upper_constant < math.inf
-        and drift <= 0.05
-        and sw.lower_min_slack_ratio >= 1.0 - 1e-12
-    )
+    # upper half: mu(H x) <= C1 S mu(x), C1 read at the window and its double
+    upper = hilbert_upper_constant(l1fam, 1 << 12, 512)
+    upper_doubled = hilbert_upper_constant(l1fam, 1 << 13, 512)
+    drift = abs(upper_doubled - upper) / max(upper, 1e-300)
+    # lower half: the least ratio |H x(-n)| / (S x(n) / (2 pi)), n in [1, 512]
+    min_ratio = math.inf
+    for x in monofam:
+        lhs, rhs = reflected_lower_pair(x, 512, METHOD_FAST)
+        mask = lhs > 0
+        if np.any(mask):
+            min_ratio = min(min_ratio, float(np.min(rhs[mask] / lhs[mask])))
+    ok = 0.0 < upper < math.inf and drift <= 0.05 and min_ratio >= 1.0 - 1e-12
     return [
         _case(
             "hilbert_sandwich_two_sided",
             ok,
-            sw.upper_constant,
+            upper,
             (
-                f"mu(Hx) <= C1 S mu(x) with C1={sw.upper_constant:.6f} "
-                f"(doubled window {sw.upper_constant_doubled:.6f}, drift {drift * 100:.3f}%); "
-                f"reflected lower bound min ratio {sw.lower_min_slack_ratio:.6f} >= 1"
+                f"mu(Hx) <= C1 S mu(x) with C1={upper:.6f} "
+                f"(doubled window {upper_doubled:.6f}, drift {drift * 100:.3f}%); "
+                f"reflected lower bound min ratio {min_ratio:.6f} >= 1"
             ),
         )
     ]

@@ -192,7 +192,7 @@ def test_finite_value_beyond_the_double_range_exits_one(capsys, big_file, argv):
     assert "exceeds the double range" in captured.err and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("space", ["weak_l1", "llog", "lp:2", "lorentz:log1p", "m1inf"])
+@pytest.mark.parametrize("space", ["weak_l1", "llog", "lp:2", "m1inf"])
 def test_fnorm_beyond_the_double_range_exits_one_in_every_space(capsys, big_file, space):
     # the witness of [1e308]*3 or its E-norm leaves the double range: an
     # uncertifiable result, not a usage error
@@ -201,6 +201,17 @@ def test_fnorm_beyond_the_double_range_exits_one_in_every_space(capsys, big_file
     assert code == 1
     assert captured.out == ""
     assert "could not certify" in captured.err and "Traceback" not in captured.err
+
+
+def test_fnorm_log1p_of_values_near_the_largest_double_certifies_the_finite_witness(capsys, big_file):
+    # over lorentz:log1p the finite witness mu(x) of [1e308]*3 has the double
+    # norm 1e308 log 4; it wins once the scaled power-log candidates no longer
+    # overflow on the way to their values
+    code, doc = run_json(capsys, ["optrange", "fnorm", "--space", "lorentz:log1p", "--in", big_file])
+    assert code == 0
+    assert doc["upper"] == pytest.approx(1e308 * math.log(4.0), rel=1e-15)
+    assert doc["witness"]["y"]["values"] == [1e308] * 3
+    assert doc["witness"]["window_verified"] and doc["witness"]["tail_ok"]
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
@@ -305,6 +316,55 @@ def test_member_weakl1(capsys, harmonic_file, log_sq_profile_file):
     code, doc = run_json(capsys, ["optrange", "member-weakl1", "--in", log_sq_profile_file])
     assert code == 0
     assert doc["member"] is False and doc["c_a"] == "Infinity"
+
+
+@pytest.mark.parametrize("scale", [-1.0, -0.37])
+@pytest.mark.parametrize("verb", [["optrange", "member-weakl1"], ["optrange", "fnorm"]])
+def test_negative_scale_power_log_reads_as_its_absolute_value(capsys, tmp_path, verb, scale):
+    outs = []
+    for s in (scale, -scale):
+        p = tmp_path / f"pl{s}.json"
+        p.write_text(json.dumps({"kind": "power_log", "alpha": 1, "beta": 0, "scale": s}))
+        code = cli.main(verb + ["--in", str(p)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+
+
+def test_hilbert_of_a_negative_scale_power_log_mirrors_its_absolute_value(capsys, tmp_path):
+    docs = []
+    for s in (-0.37, 0.37):
+        p = tmp_path / f"pl{s}.json"
+        p.write_text(json.dumps({"kind": "power_log", "alpha": 1.5, "beta": 0, "scale": s}))
+        code, doc = run_json(capsys, ["hilbert", "--window", "8", "--in", str(p)])
+        assert code == 0
+        docs.append(doc)
+    neg, pos = docs
+    assert neg["tail_halfwidth"] == pos["tail_halfwidth"] and min(pos["tail_halfwidth"]) > 0
+    assert neg["values"] == [-v for v in pos["values"]]
+
+
+@pytest.mark.parametrize(
+    "space, values, upper",
+    [("lorentz:log1p", [1e308], 6.220329926251363e+307), ("m1inf", [1e307] * 3, 1.4321360122635143e+307)],
+)
+def test_fnorm_with_witnesses_scaled_near_the_double_range_prints_no_warning(tmp_path, space, values, upper):
+    # power-log witnesses are scaled near 1e308: forming scale * log(k+2)**beta
+    # first would overflow and warn on stderr
+    p = tmp_path / "near_max.json"
+    p.write_text(json.dumps({"kind": "finite", "domain": "half_line", "offset": 0, "values": values}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "calderon.cli", "optrange", "fnorm", "--space", space,
+         "--in", str(p)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0
+    assert "RuntimeWarning" not in done.stderr and done.stderr == ""
+    doc = json.loads(done.stdout)
+    assert doc["upper"] == upper and doc["witness"]["window_verified"] is True
 
 
 def test_optrange_verify_subsuite(capsys, tmp_path):

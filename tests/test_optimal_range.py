@@ -23,15 +23,14 @@ from calderon.optimal_range import (
     _scaled_shape,
     check_domination,
     f_norm_upper,
+    f_quasitriangle_pairs,
     harmonic_calderon_closed_form,
-    verify_f_quasitriangle,
-    verify_hilbert_optimal_range,
+    hilbert_upper_constant,
     verify_minimality,
     weak_l1_membership,
 )
 from calderon.brackets import DivergentTailError
-from calderon.operators import calderon
-from calderon.report import PASS
+from calderon.operators import METHOD_FAST, calderon, reflected_lower_pair
 from calderon.sequences import (
     FiniteSequence,
     IndexDomain,
@@ -391,6 +390,43 @@ def test_search_norms_only_finite_shapes_when_mu_x_wins():
     assert isinstance(est.witness.y, FiniteSequence) and est.witness.verified
 
 
+def test_weak_l1_of_a_long_support_near_the_double_range():
+    # c_a = 1e305 max (n+1)/log(n+2) and f = c* are doubles, although
+    # head * (n+1) leaves the double range before the division by log(n+2)
+    x = finite([1e305] * 3000)
+    ns = np.arange(3000, dtype=np.longdouble)
+    want = float(np.max((ns + 1) / np.log(ns + 2)) * np.longdouble(1e305))
+    assert weak_l1_membership(x).c_a == pytest.approx(want, rel=1e-15)
+    est = f_norm_upper(x, WEAK_L1)
+    assert est.upper == 3.130298718608125e+307
+    assert est.lower == 1.2985632795710295e+307
+    assert est.witness.verified
+    with pytest.raises(OverflowError, match="c_a over the window exceeds the double range"):
+        weak_l1_membership(finite([1.7e308] * 3000))
+
+
+def test_weak_l1_membership_window_sup_is_the_direct_formula():
+    # the power-of-two rescale moves no bit where head * (n+1) stays finite
+    rng = family_rng("test-membership-rescale", 1)
+    for _ in range(300):
+        v = 10.0 ** rng.uniform(-290.0, 290.0) * rng.random(int(rng.integers(1, 400)))
+        mu = decreasing_rearrangement(finite(v)).values
+        ns = np.arange(len(mu), dtype=np.float64)
+        direct = float(np.max(mu * (ns + 1.0) / np.log(ns + 2.0)))
+        assert weak_l1_membership(finite(v)).c_a == direct
+
+
+@pytest.mark.parametrize("s", [-1.0, -0.37])
+def test_negative_scale_power_log_reads_as_its_absolute_scale(s):
+    # the rearrangement, and so c_a and f, see only |x|
+    for alpha, beta in ((1.0, 0.0), (1.5, 1.0), (0.75, 0.0), (1.0, 2.0)):
+        neg, pos = power_log(alpha, beta, s), power_log(alpha, beta, -s)
+        assert weak_l1_membership(neg) == weak_l1_membership(pos)
+    for E in (WEAK_L1, LLOG, M1INF):
+        neg = f_norm_upper(power_log(1.5, 1.0, s), E).to_json_dict()
+        assert neg == f_norm_upper(power_log(1.5, 1.0, -s), E).to_json_dict()
+
+
 def test_f_lp2_of_a_long_support_near_the_double_range():
     # the harmonic witness's lp norm overflows, but it cannot win: the finite
     # mu(x) certifies |x|_2 = 1e300 sqrt(3000)
@@ -411,9 +447,13 @@ def test_quasitriangle_on_seeded_pairs():
         for _ in range(15)
     ]
     c_E = axiom_check(WEAK_L1, trials=60, seed=13).quasi_triangle_modulus
-    res = verify_f_quasitriangle(WEAK_L1, pairs, c_E, SMALL_GRID)
-    assert res.status == PASS
-    assert res.observed_constant <= 1.0
+    sides = f_quasitriangle_pairs(WEAK_L1, pairs, c_E, SMALL_GRID)
+    assert len(sides) == len(pairs)
+    for (x1, x2), (f12, bound) in zip(pairs, sides):
+        f1 = f_norm_upper(x1, WEAK_L1, SMALL_GRID).upper
+        f2 = f_norm_upper(x2, WEAK_L1, SMALL_GRID).upper
+        assert bound == 2.0 * c_E * c_E * (f1 + f2)
+        assert 0.0 < f12 <= bound
 
 
 def test_minimality_probes_small_windows():
@@ -442,11 +482,15 @@ def test_hilbert_sandwich_small():
         for i in range(6)
     ]
     mono_fam = generate_family("RandomNonnegDecreasing", 6, seed=3, max_support=24)
-    res = verify_hilbert_optimal_range(l1_fam, mono_fam, out_window=1 << 9, check_len=64)
-    assert 0.0 < res.upper_constant < math.inf
-    assert res.lower_min_slack_ratio >= 1.0 - 1e-12
-    drift = abs(res.upper_constant_doubled - res.upper_constant) / res.upper_constant
-    assert drift <= 0.25
+    upper = hilbert_upper_constant(l1_fam, 1 << 9, 64)
+    upper_doubled = hilbert_upper_constant(l1_fam, 1 << 10, 64)
+    assert 0.0 < upper < math.inf
+    assert abs(upper_doubled - upper) / upper <= 0.25
+    for x in mono_fam:
+        lhs, rhs = reflected_lower_pair(x, 64, METHOD_FAST)
+        mask = lhs > 0
+        assert np.any(mask)
+        assert np.min(rhs[mask] / lhs[mask]) >= 1.0 - 1e-12
 
 
 # ---------------------------------------------------------------------------

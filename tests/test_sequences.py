@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calderon.brackets import powerlog_profile
 from calderon.sequences import (
     EULER_GAMMA,
     DomainMismatchError,
@@ -342,3 +344,27 @@ def test_sequence_json_rejects_unknown_fields():
         sequence_from_json({"kind": "power_log", "alpha": 1.0})
     with pytest.raises(ValueError):
         sequence_from_json({"kind": "mystery"})
+
+
+def test_powerlog_profile_split_scale_matches_direct_formula():
+    # at scales from 2**512 up the profile is formed at the mantissa and
+    # rescaled by a power of two: no bit moves where the direct formula is finite
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        alpha, beta = rng.uniform(0.0, 3.0), rng.uniform(0.0, 40.0)
+        scale = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(512 * math.log10(2.0), 308.0))
+        k = np.floor(10.0 ** rng.uniform(0.0, 7.0, 32))
+        with np.errstate(over="ignore"):
+            direct = scale * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha
+            got = powerlog_profile(k, alpha, beta, scale)
+        finite_direct = np.isfinite(direct)
+        assert np.array_equal(got[finite_direct], direct[finite_direct])
+
+
+def test_powerlog_profile_near_the_double_range_has_no_intermediate_overflow():
+    # 1e308 * log(k+2) overflows for k >= 1, the profile value does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = power_log(1.5, 1.0, 1e308).values_at(np.arange(1.0, 100.0))
+    assert np.all(np.isfinite(v))
+    assert v[-1] == pytest.approx(1e308 * (math.log(101.0) / 100.0 ** 1.5), rel=1e-14)
