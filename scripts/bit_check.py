@@ -15,14 +15,15 @@ grid windows 2^14 and 2^10, plus a weak-l1 grid of power-log profiles near
 the membership edge and finite inputs over wide magnitude ranges, plus lp:2
 on a moderate finite input, plus finite normal supports of length 1000 to
 8000 in the four spaces that search the full catalog, where the finite
-witness wins and the search skips the power-log shapes), and the
+witness wins over the priced power-log shapes), and the
 `check_domination` verdicts of those wide finite inputs against their own
 weak-l1 witness scaled by 1 and 0.999.  Magnitude edges: `weak_l1_membership`
 and the weak-l1 `f_norm_upper` on 3000 entries of 1e300 and of 1e305, the
 power-log profiles of the `fnorm_mix` workload at negative scales (-1 and
 -0.37) in membership and in `f_norm_upper` over their workload spaces, and
-`f_norm_upper` over lorentz:log1p on [1e308] and over m1inf on [1e307]*3,
-where power-log witnesses are scaled near the double range.
+`f_norm_upper` over lorentz:log1p on [1e308], over m1inf on [1e307]*3, over
+lp:2 on [1e200] and over the four catalog spaces on [1e308]*3, where
+power-log witnesses are scaled near the double range.
 
 Sums whose decay exponent lies in (1, 2) are left out: there the explicit
 sum runs toward the 2^24-term cap and a single call takes seconds.  The
@@ -258,7 +259,9 @@ def main() -> int:
             record(out, f"member/pl({a},{b},{s})", lambda: member_doc(weak_l1_membership(x)))
             for E in FNORM_SPACES if (a, b) in IN_RANGE else (WEAK_L1,):
                 record(out, f"fnorm/{E.label}/pl({a},{b},{s})", lambda: fnorm_json(x, E))
-    for E, values in ((FNORM_SPACES[3], [1e308]), (M1INF, [1e307] * 3)):
+    near_max = [(FNORM_SPACES[3], [1e308]), (M1INF, [1e307] * 3), (FNORM_SPACES[2], [1e200])]
+    near_max += [(E, [1e308] * 3) for E in FNORM_SPACES[1:]]
+    for E, values in near_max:
         record(out, f"fnorm/{E.label}/{values[0]:g}x{len(values)}", lambda: fnorm_json(finite(values), E))
 
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -10,11 +10,10 @@ For E = weak-l1 the harmonic witness c*(x) a, a(k) = 1/(k+1), attains it:
 since a decreasing y with |y|_weak = t lies below t a, S is positive and
 (S a)(n) = (H_{n+1}+1)/(n+1), so mu(x) <= S y forces t >= c*(x).  Other
 spaces search witness shapes (mu(x), its truncations, power-log generators),
-each at its minimal admissible scale, for a certified upper bound.  The
-search scales every shape, then evaluates E-norms in ascending order of a
-certified floor and stops when a floor exceeds the best upper end: by
-homogeneity a power-log shape g at scale c costs at least c times the lower
-end of |g|_E, so a skipped shape could not have won.  For
+each at its minimal admissible scale, for a certified upper bound.  Every
+E is a symmetric quasi-norm, so |c g|_E = c |g|_E: a power-log shape g at
+scale c is priced as c times the upper end of |g|_E, computed once per
+shape and window, and only the finite shapes are normed after scaling.  For
 weak-l1, c_a(x) = sup_n mu(n, x) (n+1) / log(n+2) characterizes membership
 (x in F iff c_a(x) < infinity) and gives a certified lower bound.
 
@@ -66,7 +65,6 @@ TAIL_ANALYTIC = "analytic_comparison"
 LOG2 = math.log(2.0)
 
 DOMINATION_TOL = 1e-12  # relative slack of check_domination, window and tail
-PRUNE_SLACK = 1e-9  # relative margin of a skipped witness's norm floor over the best
 
 
 class NoWitnessFoundError(RuntimeError):
@@ -239,7 +237,8 @@ def _domination(
     (0 where mu_x(n) = 0), a certified sup of mu_x(n) / (S mu(y))(n) over
     n >= window (inf when no rule certifies one) and the tail argument used."""
     lhs = mu_x.head(window)  # zero past a finite support
-    with np.errstate(divide="ignore"):
+    # a ratio beyond the double range reads inf: no double scale certifies it
+    with np.errstate(divide="ignore", over="ignore"):
         ratios = np.divide(lhs, image, out=np.zeros(window), where=lhs > 0)
     if mu_x.tail.is_zero and len(mu_x.values) <= window:
         return ratios, 0.0, TAIL_FINITE_SUPPORT
@@ -266,7 +265,8 @@ def check_domination(x: MuLike, y: MuLike, window: int) -> DominationCertificate
     most 1 + DOMINATION_TOL: the slack is purely relative, so it refutes a
     witness only beyond its own recomputed bracket."""
     mu_x = decreasing_rearrangement(x)
-    s = calderon(decreasing_rearrangement(y), window)
+    with np.errstate(over="ignore"):  # an image entry that rounds to inf: see _candidate_scale
+        s = calderon(decreasing_rearrangement(y), window)
     ratios, tail_sup, tail_argument = _domination(
         mu_x, y, s.window_values + s.tail_halfwidth_per_index, window
     )
@@ -312,26 +312,30 @@ def _candidate_scale(
         if isinstance(shape, PowerLogSequence):
             s_lo = _shape_calderon_floor(shape, window)
         else:
-            out = calderon(decreasing_rearrangement(shape), window)
+            # An image entry that rounds to inf is sound: the true S value lies
+            # above the double range, hence above the double mu(x)(n).
+            with np.errstate(over="ignore"):
+                out = calderon(decreasing_rearrangement(shape), window)
             s_lo = out.window_values - out.tail_halfwidth_per_index
         if float(np.min(s_lo)) <= 0.0:
             return math.inf, "witness image not positive on window"
     ratios, tail_sup, tail_argument = _domination(mu_x, shape, s_lo, window)
     if math.isinf(tail_sup):
         return math.inf, "no analytic tail rule certifies this witness shape"
-    return max(float(np.max(ratios)), tail_sup), tail_argument
+    c = max(float(np.max(ratios)), tail_sup)
+    return (c, tail_argument) if c < math.inf else (c, "witness scale exceeds the double range")
 
 
 @lru_cache(maxsize=128)
-def _norm_floor(E: SpaceSpec, shape: PowerLogSequence, window: int) -> float:
-    """Certified lower end of |shape|_E, value minus tail half-width (inf when
-    the E-norm diverges).  By homogeneity c * _norm_floor(E, shape, window)
-    <= |c shape|_E for c > 0, up to rounding."""
+def _unit_norm(E: SpaceSpec, shape: PowerLogSequence, window: int) -> float:
+    """Certified upper end of |shape|_E at scale 1, value plus tail half-width
+    (inf when the E-norm diverges).  By homogeneity |c shape|_E = c |shape|_E,
+    so c * _unit_norm(E, shape, window) prices the shape at scale c > 0."""
     try:
         nv = space_norm(E, shape, window)
     except DivergentTailError:
         return math.inf
-    return nv.value - nv.tail_halfwidth
+    return nv.value + nv.tail_halfwidth
 
 
 def _scaled_shape(shape: MuLike, c: float) -> MuLike:
@@ -356,13 +360,13 @@ def f_norm_upper(
     (module docstring); the lower bound there is the certified floor
     c_a(x) log 2 / 2.
 
-    The search scales every shape first, then evaluates E-norms in ascending
-    order of a certified floor: 0 for a finite shape, c * _norm_floor for a
-    power-log shape at scale c.  It stops at the first floor above the best
-    upper end times 1 + PRUNE_SLACK.  Each skipped shape's upper end is at
-    least its floor, up to rounding far below PRUNE_SLACK, so it is strictly
-    worse than the best and could not have won.  Ties go to the earlier
-    shape.  The answer is therefore the one the full scan returns.
+    Each shape is priced once, in catalog order: a power-log shape g at
+    scale c costs c times the cached upper end of |g|_E at scale 1 (by
+    homogeneity, |c g|_E = c |g|_E; over weak-l1 the harmonic profile's unit
+    norm is 1, so `upper` is c* itself), a finite shape the upper end of its
+    own E-norm after scaling.  A shape whose norm diverges, overflows or
+    underflows to 0 is skipped.  The first minimum wins, so ties go to the
+    earlier shape.
 
     Raises NoWitnessFoundError when no shape certifies; for E = weak-l1 the
     error is accompanied by the certified divergence of c_a(x) (x is then
@@ -394,38 +398,37 @@ def f_norm_upper(
         shapes.append(finite(mu_x.values) if levels[-1] >= support else mu_x)
 
     reasons = []
-    candidates = []  # (floor, index, shape, scale)
-    for i, shape in enumerate(shapes):
+    best: Optional[tuple[float, MuLike]] = None
+    for shape in shapes:
         c, tail_argument = _candidate_scale(mu_x, shape, window)
         if math.isinf(c) or c == 0.0:
             reasons.append(tail_argument)
             continue
-        floor = c * _norm_floor(E, shape, window) if isinstance(shape, PowerLogSequence) else 0.0
-        candidates.append((floor, i, shape, c))
-
-    best: Optional[tuple[float, int, MuLike]] = None
-    for floor, i, shape, c in sorted(candidates, key=lambda cand: cand[:2]):
-        if best is not None and floor > best[0] * (1.0 + PRUNE_SLACK):
-            break  # this shape and every later one is strictly worse
         y = _scaled_shape(shape, c)
         try:
-            nv = space_norm(E, y, window)
-            e_norm = nv.value + nv.tail_halfwidth  # the certified upper end
+            if isinstance(shape, PowerLogSequence):
+                e_norm = c * _unit_norm(E, shape, window)  # |c g|_E = c |g|_E
+            else:
+                nv = space_norm(E, y, window)
+                e_norm = nv.value + nv.tail_halfwidth  # the certified upper end
         except DivergentTailError:
             e_norm = math.inf
+        except OverflowError:
+            reasons.append("witness E-norm overflows")
+            continue
         if math.isinf(e_norm):
             reasons.append("witness outside E")
             continue
         if e_norm == 0.0:
             reasons.append("witness E-norm underflows")
             continue
-        if best is None or (e_norm, i) < best[:2]:
-            best = (e_norm, i, y)
+        if best is None or e_norm < best[0]:
+            best = (e_norm, y)  # strict: ties keep the earlier shape
     if best is None:
         raise NoWitnessFoundError(
             f"no candidate witness certifies (inconclusive): {sorted(set(reasons))}"
         )
-    upper, _, y = best
+    upper, y = best
     cert = check_domination(mu_x, y, window)
     lower = None if member is None else min(member.c_a * LOG2 / 2.0, upper)
     return FNormEstimate(upper, lower, cert)
@@ -457,13 +460,8 @@ class MinimalityProbe:
     space: str
     probe_constant: float
     probe_constant_half: float
-    detected_unbounded: bool
-    containment_constant: Optional[float]
-    containment_violations: Optional[int]
-
-
-UNBOUNDED_SUP_THRESHOLD = 10.0
-UNBOUNDED_DRIFT_THRESHOLD = 0.5
+    containment_constant: float
+    containment_ratio: float  # largest |x|_G / (C f(x)) over the members
 
 
 def verify_minimality(
@@ -476,13 +474,12 @@ def verify_minimality(
 ) -> list[MinimalityProbe]:
     """Probe each candidate range space G in the catalog.
 
-    Boundedness detector (desk scale): on the harmonic generator, the windowed
-    ratio |S mu(a)|_G / |a|_E read at the window and at half the window; G is
-    flagged unbounded when the full-window value exceeds 10 or one window
-    doubling adds at least 0.5.  For G not flagged, the containment
-    |x|_G <= C |x|_F is checked on members x = S mu(y) generated from the
-    witness list, with C the empirical operator constant over the same
-    witnesses together with the members' own best witnesses.
+    Boundedness probe (desk scale): on the harmonic generator, the windowed
+    ratio |S mu(a)|_G / |a|_E read at the window and at half the window.
+    Containment |x|_G <= C |x|_F: on members x = S mu(y) generated from the
+    witness list, the largest |x|_G / (C f(x)), with C the empirical operator
+    constant over the same witnesses together with the members' own best
+    witnesses and f(x) read as `upper`.
     """
     def image(y: MuLike) -> np.ndarray:
         return calderon(decreasing_rearrangement(y), member_window).window_values
@@ -503,21 +500,10 @@ def verify_minimality(
     for G in catalog:
         g_full = space_norm(G, finite(harmonic_img)).value / denom
         g_half = space_norm(G, finite(harmonic_img[: window // 2])).value / denom
-        unbounded = (g_full > UNBOUNDED_SUP_THRESHOLD) or (
-            g_full - g_half >= UNBOUNDED_DRIFT_THRESHOLD
-        )
-        if unbounded:
-            probes.append(MinimalityProbe(G.label, g_full, g_half, True, None, None))
-            continue
-        C = 0.0
-        for img, denom_y in pool:
-            C = max(C, space_norm(G, finite(img)).value / denom_y)
-        bad = 0
-        for x_member, est in zip(members, estimates):
-            gx = space_norm(G, x_member).value
-            if gx > C * est.upper * (1.0 + 1e-9) + 1e-300:
-                bad += 1
-        probes.append(MinimalityProbe(G.label, g_full, g_half, False, C, bad))
+        C = max((space_norm(G, finite(img)).value / denom_y for img, denom_y in pool), default=0.0)
+        ratio = max((space_norm(G, x).value / (C * est.upper) for x, est in zip(members, estimates)),
+                    default=0.0)
+        probes.append(MinimalityProbe(G.label, g_full, g_half, C, ratio))
     return probes
 
 

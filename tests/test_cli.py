@@ -192,10 +192,11 @@ def test_finite_value_beyond_the_double_range_exits_one(capsys, big_file, argv):
     assert "exceeds the double range" in captured.err and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("space", ["weak_l1", "llog", "lp:2", "m1inf"])
+@pytest.mark.parametrize("space", ["weak_l1"])
 def test_fnorm_beyond_the_double_range_exits_one_in_every_space(capsys, big_file, space):
-    # the witness of [1e308]*3 or its E-norm leaves the double range: an
-    # uncertifiable result, not a usage error
+    # over weak-l1, c_a of [1e308]*3 is 3e308/log 4, not a double: an
+    # uncertifiable result, not a usage error.  The catalog spaces certify a
+    # power-log witness (next test)
     code = cli.main(["optrange", "fnorm", "--space", space, "--in", big_file])
     captured = capsys.readouterr()
     assert code == 1
@@ -203,21 +204,32 @@ def test_fnorm_beyond_the_double_range_exits_one_in_every_space(capsys, big_file
     assert "could not certify" in captured.err and "Traceback" not in captured.err
 
 
-def test_fnorm_log1p_of_values_near_the_largest_double_certifies_the_finite_witness(capsys, big_file):
-    # over lorentz:log1p the finite witness mu(x) of [1e308]*3 has the double
-    # norm 1e308 log 4; it wins once the scaled power-log candidates no longer
-    # overflow on the way to their values
-    code, doc = run_json(capsys, ["optrange", "fnorm", "--space", "lorentz:log1p", "--in", big_file])
+NEAR_MAX_UPPER = {
+    "llog": 1.6986551871026354e+308,
+    "m1inf": 1.4321360122635143e+308,
+    "lp:2": 1.3286640072373074e+308,
+    "lorentz:log1p": 1.3039757928850752e+308,
+}
+
+
+@pytest.mark.parametrize("space", sorted(NEAR_MAX_UPPER))
+def test_fnorm_of_values_near_the_largest_double_certifies_a_power_log_witness(capsys, big_file, space):
+    # the power-log witnesses of [1e308]*3 are priced as scale times their unit
+    # norm; the finite truncations, whose norms or scales overflow, are skipped
+    code, doc = run_json(capsys, ["optrange", "fnorm", "--space", space, "--in", big_file])
     assert code == 0
-    assert doc["upper"] == pytest.approx(1e308 * math.log(4.0), rel=1e-15)
-    assert doc["witness"]["y"]["values"] == [1e308] * 3
+    assert doc["upper"] == NEAR_MAX_UPPER[space]
+    assert doc["witness"]["y"]["kind"] == "power_log"
     assert doc["witness"]["window_verified"] and doc["witness"]["tail_ok"]
+    if space == "lorentz:log1p":
+        assert doc["upper"] < 1e308 * math.log(4.0)  # the finite witness mu(x)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
 def test_fnorm_lp2_of_a_moderate_input_keeps_memory_bounded(tmp_path):
-    # the harmonic witness at scale 5e7 sums 2^24 lp terms: in blocks, not
-    # all at once (about 700 MB).  The child reads the peak of its own
+    # the re-check of the winning power-log witness, at scale 6.8e7, sums
+    # 2^24 weighted tail terms behind S: in blocks, not all at once (about
+    # 700 MB).  The child reads the peak of its own
     # address space, VmHWM: ru_maxrss keeps the forking process's peak
     # across exec.
     p = tmp_path / "moderate.json"
@@ -291,8 +303,8 @@ def test_fnorm_window_flag(capsys, impulse_file, flag, window):
 
 
 def test_fnorm_lp2_of_moderate_input_is_certified(capsys, tmp_path):
-    # the scaled power-log witnesses reach the tail cap behind S; the wider
-    # bracket is still certified, so the search goes on
+    # the winning power-log witness, at scale 6.8e7, reaches the tail cap
+    # behind S in the re-check; the wider bracket is still certified
     p = tmp_path / "x.json"
     p.write_text(json.dumps({"kind": "finite", "domain": "half_line", "offset": 0, "values": [1e8, 5e7, 3.3e7]}))
     code, doc = run_json(capsys, ["optrange", "fnorm", "--in", str(p), "--space", "lp:2"])
@@ -347,11 +359,13 @@ def test_hilbert_of_a_negative_scale_power_log_mirrors_its_absolute_value(capsys
 
 @pytest.mark.parametrize(
     "space, values, upper",
-    [("lorentz:log1p", [1e308], 6.220329926251363e+307), ("m1inf", [1e307] * 3, 1.4321360122635143e+307)],
+    [("lorentz:log1p", [1e308], 6.220329926520839e+307), ("m1inf", [1e307] * 3, 1.4321360122635143e+307)]
+    + [(space, [1e308] * 3, upper) for space, upper in sorted(NEAR_MAX_UPPER.items())],
 )
 def test_fnorm_with_witnesses_scaled_near_the_double_range_prints_no_warning(tmp_path, space, values, upper):
     # power-log witnesses are scaled near 1e308: forming scale * log(k+2)**beta
-    # first would overflow and warn on stderr
+    # first would overflow and warn on stderr, and so would the images and
+    # ratios of the finite truncations of [1e308]*3
     p = tmp_path / "near_max.json"
     p.write_text(json.dumps({"kind": "finite", "domain": "half_line", "offset": 0, "values": values}))
     src = str(Path(cli.__file__).resolve().parents[1])
