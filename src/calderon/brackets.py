@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 TAIL_TOL = 1e-10
 TAIL_CAP = 2 ** 24
@@ -97,6 +96,8 @@ def powerlog_tail(
         )
     if start < min_tail_start(alpha, beta, shift_power=shift_power, harmonic_weight=harmonic_weight):
         raise ValueError(f"tail start {start} below safe comparison region")
+    from scipy import special as _sp  # deferred: most CLI calls never reach a tail integral
+
     U = start + 1
     lam = s - 1.0
     I = float(_sp.gammaincc(beta + 1.0, lam * math.log(U)) * _sp.gamma(beta + 1.0)) / lam ** (beta + 1.0)

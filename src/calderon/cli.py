@@ -109,24 +109,22 @@ def _open_out(path: Optional[str]):
             yield fh
 
 
+def _write_json(fh: IO[str], doc) -> None:
+    fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
 def _emit_operator_output(out: OperatorOutput, fmt: str, fh: IO[str]) -> None:
     idx = out.indices()
     if fmt == "csv":
         emit_values_csv(idx, out.window_values, out.tail_halfwidth_per_index, fh)
     else:
-        fh.write(
-            json.dumps(
-                {
-                    "offset": int(out.offset),
-                    "values": [float(v) for v in out.window_values],
-                    "tail_halfwidth": [float(h) for h in out.tail_halfwidth_per_index],
-                    "evaluation_method": out.evaluation_method,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
+        # both arrays are float64, so tolist() yields the same Python floats
+        _write_json(fh, {
+            "offset": int(out.offset),
+            "values": out.window_values.tolist(),
+            "tail_halfwidth": out.tail_halfwidth_per_index.tolist(),
+            "evaluation_method": out.evaluation_method,
+        })
 
 
 def _global_flags(ap: argparse.ArgumentParser, suppress: bool) -> None:
@@ -268,17 +266,7 @@ def _cmd_rearrange(args) -> int:
         if args.format == "csv":
             emit_values_csv(range(len(head)), head, np.zeros(len(head)), fh)
         else:
-            fh.write(
-                json.dumps(
-                    {
-                        "values": [float(v) for v in head],
-                        "exact_beyond_window": not mu.tail.is_zero,
-                    },
-                    sort_keys=True,
-                    indent=2,
-                )
-                + "\n"
-            )
+            _write_json(fh, {"values": head.tolist(), "exact_beyond_window": not mu.tail.is_zero})
     return 0
 
 
@@ -294,7 +282,7 @@ def _cmd_norm(args) -> int:
         else:
             d = {"space": spec.label}
             d.update(nv.to_json_dict())
-            fh.write(json.dumps(d, sort_keys=True, indent=2) + "\n")
+            _write_json(fh, d)
     return 0
 
 
@@ -328,10 +316,10 @@ def _cmd_fnorm(args) -> int:
         est = f_norm_upper(x, spec, GridConfig.for_window(args.window))
     except NoWitnessFoundError as e:
         with _open_out(args.out) as fh:
-            fh.write(json.dumps({"error": str(e)}, sort_keys=True, indent=2) + "\n")
+            _write_json(fh, {"error": str(e)})
         return 1
     with _open_out(args.out) as fh:
-        fh.write(json.dumps(est.to_json_dict(), sort_keys=True, indent=2) + "\n")
+        _write_json(fh, est.to_json_dict())
     return 0
 
 
@@ -339,14 +327,7 @@ def _cmd_member(args) -> int:
     x = _load_sequence(args.infile)
     res = weak_l1_membership(x, window=max(16, args.window))
     with _open_out(args.out) as fh:
-        fh.write(
-            json.dumps(
-                {"member": res.member, "c_a": json_safe_float(res.c_a)},
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
+        _write_json(fh, {"member": res.member, "c_a": json_safe_float(res.c_a)})
     return 0
 
 
@@ -384,23 +365,16 @@ def _cmd_bench(args) -> int:
                     f"{fmt17(r.speedup)},{fmt17(r.max_relative_deviation)}\n"
                 )
         else:
-            fh.write(
-                json.dumps(
-                    [
-                        {
-                            "size": r.size,
-                            "naive_seconds": r.naive_seconds,
-                            "fast_seconds": r.fast_seconds,
-                            "speedup": json_safe_float(r.speedup),
-                            "max_relative_deviation": r.max_relative_deviation,
-                        }
-                        for r in rows
-                    ],
-                    sort_keys=True,
-                    indent=2,
-                )
-                + "\n"
-            )
+            _write_json(fh, [
+                {
+                    "size": r.size,
+                    "naive_seconds": r.naive_seconds,
+                    "fast_seconds": r.fast_seconds,
+                    "speedup": json_safe_float(r.speedup),
+                    "max_relative_deviation": r.max_relative_deviation,
+                }
+                for r in rows
+            ])
     return 0
 
 
@@ -409,9 +383,7 @@ def _cmd_family(args) -> int:
 
     fam = generate_family(args.kind, args.count, args.seed)
     with _open_out(args.out) as fh:
-        fh.write(
-            json.dumps([sequence_to_json(x) for x in fam], sort_keys=True, indent=2) + "\n"
-        )
+        _write_json(fh, [sequence_to_json(x) for x in fam])
     return 0
 
 

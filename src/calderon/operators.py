@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence as TySequence, Union
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .sequences import (
     FiniteSequence,
@@ -199,6 +198,8 @@ def _hilbert_finite_fast(vals: np.ndarray, s0: int, out_lo: int, out_hi: int) ->
     if K == 1:
         conv = vals[0] * g
     else:
+        from scipy import fft as sp_fft  # deferred: only this route needs scipy.fft
+
         # zero-padded real-FFT linear convolution at the next fast length
         n = K + len(g) - 1
         nfft = sp_fft.next_fast_len(n, True)

@@ -4,7 +4,7 @@ Every functional here depends on the input only through its decreasing
 rearrangement mu, so rearrangement invariance holds structurally.  Supported
 spaces:
 
-* lp              (sum |x(n)|^p)^(1/p), p >= 1
+* lp              (sum |x(n)|^p)^(1/p), finite p >= 1
 * weak_l1         sup (n+1) mu(n)
 * llog            sum mu(n)/(n+1)
 * lorentz_phi     sum mu(n) (phi(n+1) - phi(n)), phi = log1p or t^theta
@@ -82,6 +82,12 @@ class PhiTemplate:
 LOG1P = PhiTemplate("log1p")
 
 
+def _check_lp_exponent(p: Optional[float]) -> None:
+    # the tail formulas need a finite p; the sup norm mu(0) is the `sum` space's value
+    if p is None or not 1.0 <= p < math.inf:
+        raise ValueError("lp space needs a finite p >= 1")
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     kind: str
@@ -92,8 +98,7 @@ class SpaceSpec:
         if self.kind not in _SPACE_KINDS:
             raise ValueError(f"unknown space kind: {self.kind!r}")
         if self.kind == "lp":
-            if self.p is None or not (self.p >= 1):
-                raise ValueError("lp space needs p >= 1")
+            _check_lp_exponent(self.p)
         elif self.p is not None:
             raise ValueError(f"space {self.kind} takes no exponent")
         if self.kind == "lorentz_phi":
@@ -191,8 +196,7 @@ MuLike = Union[Sequence, Rearrangement]
 def lp_norm(x: MuLike, p: float, window: int = 65536) -> NormValue:
     """(sum |x(n)|^p)^(1/p) with certified tail bracket; finite supports as
     mu(0) (sum (mu(n)/mu(0))^p)^(1/p), which cannot overflow."""
-    if not p >= 1:
-        raise ValueError("lp norm needs p >= 1")
+    _check_lp_exponent(p)
     mu = decreasing_rearrangement(x)
     head = mu.values
     if mu.tail.is_zero:

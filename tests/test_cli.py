@@ -271,6 +271,29 @@ def test_norm_unknown_space_is_usage_error(capsys, impulse_file):
     assert cli.main(["norm", "--in", impulse_file, "--space", "banach"]) == 2
 
 
+@pytest.mark.parametrize("space", ["lp:inf", "file"])
+@pytest.mark.parametrize("verb", [["norm"], ["optrange", "fnorm"]], ids=["norm", "fnorm"])
+def test_lp_of_infinite_exponent_is_a_usage_error(capsys, tmp_path, signed_file, harmonic_file, verb, space):
+    # the sup norm is the `sum` space; lp takes a finite p only
+    if space == "file":
+        space = str(tmp_path / "lpinf.json")
+        Path(space).write_text('{"space": "lp", "p": Infinity}')
+    for infile in (signed_file, harmonic_file):
+        assert cli.main(verb + ["--in", infile, "--space", space]) == 2
+        assert capsys.readouterr().err == "usage error: lp space needs a finite p >= 1\n"
+
+
+def test_json_arrays_hold_floats_for_integer_input(capsys, tmp_path):
+    p = tmp_path / "ints.json"
+    p.write_text(json.dumps({"kind": "finite", "domain": "half_line", "offset": 0, "values": [3, -1, 2]}))
+    # the arrays are float64, so integers print as 3.0, never as 3
+    for argv in (["rearrange"], ["calderon"], ["calderon", "--min-kernel"],
+                 ["hilbert", "--method", "naive"], ["hilbert", "--method", "fast"]):
+        code, doc = run_json(capsys, argv + ["--in", str(p), "--window", "4"])
+        assert code == 0
+        assert all(type(v) is float for v in doc["values"] + doc.get("tail_halfwidth", [])), argv
+
+
 def test_norm_divergent_lp_reports_uncertifiable(capsys, harmonic_file):
     code = cli.main(["norm", "--in", harmonic_file, "--space", "lp:1"])
     err = capsys.readouterr().err

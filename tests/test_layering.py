@@ -1,16 +1,27 @@
 """Layering of the package: only `suites.py` turns a measurement into a
 verdict.  The math modules return numbers; `report` (cases, reports and
 their emission) is imported only by `suites`, `cli` and the package
-`__init__`, and `CaseResult` is constructed only in `report` and `suites`."""
+`__init__`, and `CaseResult` is constructed only in `report` and `suites`.
+
+scipy is imported only inside the two functions that need it, so that
+`import calderon` and a CLI call that reaches neither load numpy only."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import calderon
+from calderon import LLOG, power_log, space_norm
 
 SRC = Path(calderon.__file__).resolve().parent
 REPORT_IMPORTERS = {"suites", "cli", "__init__"}
 CASE_BUILDERS = {"report", "suites"}
+SCIPY_USERS = {("brackets", "powerlog_tail"), ("operators", "_hilbert_finite_fast")}
 
 
 def _modules():
@@ -64,3 +75,92 @@ def test_layering_detectors_see_both_import_and_call_forms():
     assert _imports_report(ast.parse("from . import report\n"))
     assert not _imports_report(ast.parse("from .sequences import json_safe_float\n"))
     assert not _constructs_case(ast.parse("CaseResultish = 1\n"))
+
+
+def _is_scipy(name: str) -> bool:
+    return name == "scipy" or name.startswith("scipy.")
+
+
+def _scipy_imports(tree) -> list:
+    """(enclosing function or None, line) of every scipy import; None means
+    the import runs when the module is imported."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, func or child.name)
+                continue
+            if isinstance(child, ast.Import) and any(_is_scipy(a.name) for a in child.names):
+                found.append((func, child.lineno))
+            elif isinstance(child, ast.ImportFrom) and child.level == 0 and _is_scipy(child.module or ""):
+                found.append((func, child.lineno))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_module_imports_scipy_at_import_time():
+    eager = {name: line for name, tree in _modules() for func, line in _scipy_imports(tree) if func is None}
+    assert not eager, eager
+
+
+def test_scipy_is_imported_only_where_it_is_used():
+    users = {(name, func) for name, tree in _modules() for func, _ in _scipy_imports(tree)}
+    assert users == SCIPY_USERS
+
+
+def test_scipy_detector_sees_every_import_form():
+    for src in ("import scipy\n", "import scipy.fft\n", "import numpy, scipy.special as sp\n",
+                "from scipy import fft\n", "from scipy.special import gamma\n",
+                "try:\n    from scipy import fft\nexcept ImportError:\n    pass\n",
+                "class A:\n    import scipy.fft\n"):
+        assert _scipy_imports(ast.parse(src)) == [(None, src.count("\n", 0, src.index("scipy")) + 1)], src
+    nested = ast.parse("def f():\n    def g():\n        from scipy import special\n")
+    assert _scipy_imports(nested) == [("f", 3)]
+    assert _scipy_imports(ast.parse("class A:\n    def m(self):\n        import scipy\n")) == [("m", 3)]
+    assert not _scipy_imports(ast.parse("import scipyish\nfrom .scipy import x\nfrom numpy import fft\n"))
+
+
+def _run_child(code: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_cold_import_and_finite_norm_load_no_scipy(tmp_path):
+    fin = tmp_path / "fin.json"
+    fin.write_text(json.dumps({"kind": "finite", "domain": "half_line", "offset": 0, "values": [3.0, -1.0, 0.5]}))
+    out = tmp_path / "out.json"
+    doc = _run_child(
+        "import json, sys\n"
+        "import calderon, calderon.cli\n"
+        f"after_import = {_LOADED_SCIPY}\n"
+        f"code = calderon.cli.main(['norm', '--in', {str(fin)!r}, '--space', 'lp:2', '--out', {str(out)!r}])\n"
+        f"print(json.dumps({{'import': after_import, 'norm': {_LOADED_SCIPY}, 'code': code}}))\n"
+    )
+    assert doc == {"import": [], "norm": [], "code": 0}
+    assert json.loads(out.read_text())["value"] == pytest.approx(10.25 ** 0.5, rel=1e-15)
+
+
+def test_power_log_norm_loads_scipy_special_on_first_use(tmp_path):
+    pl = tmp_path / "pl.json"
+    pl.write_text(json.dumps({"kind": "power_log", "alpha": 1.5, "beta": 0}))
+    out = tmp_path / "out.json"
+    doc = _run_child(
+        "import json, sys\n"
+        "import calderon.cli\n"
+        "before = 'scipy.special' in sys.modules\n"
+        f"code = calderon.cli.main(['norm', '--in', {str(pl)!r}, '--space', 'llog', '--out', {str(out)!r}])\n"
+        "print(json.dumps({'before': before, 'after': 'scipy.special' in sys.modules, 'code': code}))\n"
+    )
+    assert doc == {"before": False, "after": True, "code": 0}
+    child = json.loads(out.read_text())
+    direct = space_norm(LLOG, power_log(1.5, 0.0), window=65536)
+    assert child == {"space": "llog", **direct.to_json_dict()}
+    assert child["value"].hex() == direct.value.hex()

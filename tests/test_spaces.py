@@ -481,6 +481,15 @@ def test_space_spec_validation():
         PhiTemplate("power", -1.0)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.99])
+def test_lp_needs_a_finite_exponent_of_at_least_one(p):
+    with pytest.raises(ValueError, match="lp space needs a finite p >= 1"):
+        lp_space(p)
+    for x in (finite([3.0, 1.0]), power_log(1.5, 0.0)):
+        with pytest.raises(ValueError, match="lp space needs a finite p >= 1"):
+            lp_norm(x, p)
+
+
 @pytest.mark.parametrize("spec", ALL_SPACES, ids=lambda s: s.label)
 def test_space_spec_json_round_trip(spec):
     doc = space_spec_to_json(spec)
