@@ -15,10 +15,13 @@ with s > 1, beta >= 0.  The bounds come from two elementary comparisons:
 The resulting [lower, upper] interval is exact mathematics up to floating
 point roundoff; callers shrink it by pushing N outward.  Every certified series
 follows one policy: terms summed explicitly in longdouble (`explicit_sum`) up
-to a start index doubled outward until the bracket's half-width is at most
-TAIL_TOL or the start reaches TAIL_CAP, where the wider bracket is returned
-as it stands (`tail_sum`).  The explicit sum holds at most SUM_BLOCK terms
-in memory at a time.
+to a start index doubled outward until the bracket of the unit-scale profile
+(shape and fixed weights of the space, never the data's scale) has half-width
+at most TAIL_TOL or the start reaches TAIL_CAP, where the wider bracket is
+returned as it stands; `tail_sum` then multiplies it by the data's scale c
+once.  So a half-width is at most TAIL_TOL * c, or the start reached
+TAIL_CAP, and every bracket scales with its input (at a power-of-two c, bit
+for bit).  The explicit sum holds at most SUM_BLOCK terms in memory at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ class DivergentTailError(ArithmeticError):
     """Requested sum has a non-summable tail."""
 
 
+class InvariantError(ValueError):
+    """An internal invariant broke: a fault of the program, not of its input."""
+
+
 @dataclass(frozen=True)
 class Bracket:
     lo: float
@@ -45,7 +52,7 @@ class Bracket:
 
     def __post_init__(self):
         if not (self.lo <= self.hi):
-            raise ValueError(f"empty bracket [{self.lo}, {self.hi}]")
+            raise InvariantError(f"empty bracket [{self.lo}, {self.hi}]")
 
     @property
     def mid(self) -> float:
@@ -57,7 +64,7 @@ class Bracket:
 
     def scaled(self, c: float) -> "Bracket":
         if c < 0:
-            raise ValueError("bracket scale must be nonnegative")
+            raise InvariantError("bracket scale must be nonnegative")
         return Bracket(self.lo * c, self.hi * c)
 
     def shifted(self, t: float) -> "Bracket":
@@ -77,18 +84,16 @@ def powerlog_tail(
     *,
     shift_power: float = 0.0,
     harmonic_weight: bool = False,
-    scale: float = 1.0,
+    weight: float = 1.0,
 ) -> Bracket:
-    """Bracket for sum_{k >= start} scale * log(k+2)**beta / (k+1)**(alpha+shift_power) * w(k)
+    """Bracket for sum_{k >= start} weight * log(k+2)**beta / (k+1)**(alpha+shift_power) * w(k)
 
-    with w(k) = 1/k when harmonic_weight else 1.  start must be at least
-    min_tail_start, so that the integral test brackets sum_{u >= U} of
-    (log u)**beta * u**(-s), U = start + 1, between I and I + (log U)**beta U**(-s).
+    with w(k) = 1/k when harmonic_weight else 1, on the unit-scale profile:
+    weight is a fixed positive weight of the space (theta of lorentz:power),
+    never the data's scale.  start must be at least min_tail_start, so that
+    the integral test brackets sum_{u >= U} of (log u)**beta * u**(-s),
+    U = start + 1, between I and I + (log U)**beta U**(-s).
     """
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    if scale == 0.0:
-        return ZERO_BRACKET
     s = alpha + shift_power + (1.0 if harmonic_weight else 0.0)
     if s <= 1.0:
         raise DivergentTailError(
@@ -105,7 +110,7 @@ def powerlog_tail(
     fac = (math.log(start + 2) / math.log(start + 1)) ** beta
     if harmonic_weight:
         fac *= (start + 1) / start
-    return Bracket(scale * I, scale * fac * (I + phi))
+    return Bracket(weight * I, weight * fac * (I + phi))
 
 
 def min_tail_start(
@@ -131,18 +136,19 @@ def choose_tail_start(
     *,
     shift_power: float = 0.0,
     harmonic_weight: bool = False,
-    scale: float = 1.0,
+    weight: float = 1.0,
 ) -> tuple[int, Bracket]:
-    """Pick a start index whose tail bracket has half-width <= tol, doubling
-    outward from min_start up to TAIL_CAP.  Returns the best (start, bracket)
-    found: at the cap the bracket may be wider than tol, and it is still
-    certified.
+    """Pick a start index whose unit-scale tail bracket (powerlog_tail) has
+    half-width <= tol, doubling outward from min_start up to TAIL_CAP.
+    Returns the best (start, bracket) found: at the cap the bracket may be
+    wider than tol, and it is still certified.
     """
-    start = max(min_start, min_tail_start(alpha, beta, shift_power=shift_power, harmonic_weight=harmonic_weight))
-    best = powerlog_tail(alpha, beta, start, shift_power=shift_power, harmonic_weight=harmonic_weight, scale=scale)
+    series = dict(shift_power=shift_power, harmonic_weight=harmonic_weight)
+    start = max(min_start, min_tail_start(alpha, beta, **series))
+    best = powerlog_tail(alpha, beta, start, weight=weight, **series)
     while best.halfwidth > tol and start < TAIL_CAP:
         start = min(TAIL_CAP, 2 * start)
-        best = powerlog_tail(alpha, beta, start, shift_power=shift_power, harmonic_weight=harmonic_weight, scale=scale)
+        best = powerlog_tail(alpha, beta, start, weight=weight, **series)
     return start, best
 
 
@@ -180,13 +186,14 @@ def stored_profile(values, offset: int = 0):
     return profile
 
 
-def tail_sum(profile, first: int, term, alpha: float, beta: float, **tail) -> tuple[int, float, Bracket]:
-    """The certified tail step: (start, explicit, rem) with start chosen by
+def tail_sum(profile, first: int, term, alpha: float, beta: float, scale: float, **tail) -> tuple[int, float, Bracket]:
+    """The certified tail step for data at scale `scale`: (start, explicit,
+    rem) with start chosen on the unit-scale profile by
     choose_tail_start(alpha, beta, first, TAIL_TOL, **tail), explicit the sum
-    of term(profile(k), k) over [first, start), and rem the bracket of the
-    remaining power-log series from start on."""
+    of term(profile(k), k) over [first, start), and rem the unit bracket of
+    the remaining power-log series from start on, times the scale."""
     start, rem = choose_tail_start(alpha, beta, first, TAIL_TOL, **tail)
-    return start, explicit_sum(profile, first, start, term), rem
+    return start, explicit_sum(profile, first, start, term), rem.scaled(scale)
 
 
 def powerlog_profile(k, alpha: float, beta: float, scale: float):

@@ -19,6 +19,7 @@ from typing import IO, Optional
 
 import numpy as np
 
+from .brackets import InvariantError
 from .families import FAMILY_KINDS, generate_family
 from .operators import (
     METHOD_FAST,
@@ -415,6 +416,9 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     except (ArithmeticError, HeadResolutionError) as e:
         print(f"computation could not certify a result: {e}", file=sys.stderr)
+        return 1
+    except InvariantError as e:
+        print(f"internal error: {e}", file=sys.stderr)
         return 1
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)

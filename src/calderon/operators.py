@@ -32,6 +32,7 @@ from typing import Sequence as TySequence, Union
 
 import numpy as np
 
+from .brackets import InvariantError
 from .sequences import (
     FiniteSequence,
     IndexDomain,
@@ -74,9 +75,9 @@ class OperatorOutput:
         self.window_values.setflags(write=False)
         self.tail_halfwidth_per_index.setflags(write=False)
         if len(self.window_values) != len(self.tail_halfwidth_per_index):
-            raise ValueError("values and half-widths must align")
+            raise InvariantError("values and half-widths must align")
         if np.any(self.tail_halfwidth_per_index < 0):
-            raise ValueError("half-widths are nonnegative")
+            raise InvariantError("half-widths are nonnegative")
 
     def indices(self) -> np.ndarray:
         return self.offset + np.arange(len(self.window_values))
@@ -186,6 +187,19 @@ def _hilbert_finite_naive(vals: np.ndarray, s0: int, out_lo: int, out_hi: int) -
     return out / PI
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n >= 1: a length the real FFT factors fully."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())  # least p35 * 2^a >= n
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _hilbert_finite_fast(vals: np.ndarray, s0: int, out_lo: int, out_hi: int) -> np.ndarray:
     K = len(vals)
     s1 = s0 + K - 1
@@ -198,12 +212,10 @@ def _hilbert_finite_fast(vals: np.ndarray, s0: int, out_lo: int, out_hi: int) ->
     if K == 1:
         conv = vals[0] * g
     else:
-        from scipy import fft as sp_fft  # deferred: only this route needs scipy.fft
-
         # zero-padded real-FFT linear convolution at the next fast length
         n = K + len(g) - 1
-        nfft = sp_fft.next_fast_len(n, True)
-        conv = sp_fft.irfft(sp_fft.rfft(vals, nfft) * sp_fft.rfft(g, nfft), nfft)[:n]
+        nfft = _fast_len(n)
+        conv = np.fft.irfft(np.fft.rfft(vals, nfft) * np.fft.rfft(g, nfft), nfft)[:n]
     # full convolution index j corresponds to output index s0 + m_lo + j
     j0 = out_lo - (s0 + m_lo)
     return conv[j0 : j0 + (out_hi - out_lo + 1)] / PI

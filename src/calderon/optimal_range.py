@@ -40,7 +40,7 @@ from typing import Optional, Sequence as TySequence, Union
 
 import numpy as np
 
-from .brackets import DivergentTailError, ratio_profile_sup
+from .brackets import DivergentTailError, InvariantError, ratio_profile_sup
 from .operators import METHOD_FAST, calderon, hilbert_symmetric
 from .sequences import (
     FiniteSequence,
@@ -123,7 +123,7 @@ class FNormEstimate:
 
     def __post_init__(self):
         if self.lower is not None and self.lower > self.upper * (1 + 1e-9) + 1e-300:
-            raise ValueError("lower estimate exceeds upper estimate")
+            raise InvariantError("lower estimate exceeds upper estimate")
 
     def to_json_dict(self) -> dict:
         return {

@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .brackets import Bracket, ZERO_BRACKET, explicit_sum, powerlog_profile, stored_profile, tail_sum
+from .brackets import Bracket, InvariantError, ZERO_BRACKET, explicit_sum, powerlog_profile, stored_profile, tail_sum
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -237,26 +237,26 @@ class Rearrangement:
         v = self.values
         if v.size:
             if v[-1] < 0:
-                raise ValueError("rearrangement values must be nonnegative")
+                raise InvariantError("rearrangement values must be nonnegative")
             if np.any(np.diff(v) > 0):
-                raise ValueError("rearrangement head must be nonincreasing")
+                raise InvariantError("rearrangement head must be nonincreasing")
         if isinstance(self.tail, PowerLogTail) and v.size:
             edge = float(self.tail.values_at(np.float64(len(v))))
             if math.isinf(edge):
                 raise OverflowError("power-log tail value exceeds the double range")
             if edge > v[-1] * (1 + 1e-12) + 1e-300:
-                raise ValueError("rearrangement tail exceeds head edge")
+                raise InvariantError("rearrangement tail exceeds head edge")
 
     @property
     def is_zero(self) -> bool:
         return self.values.size == 0 and self.tail.is_zero
 
-    def head(self, n: int) -> np.ndarray:
-        """First n rearranged values."""
+    def head(self, n: int, first: int = 0) -> np.ndarray:
+        """Rearranged values at the indices first, ..., n - 1."""
         if n <= len(self.values):
-            return self.values[:n]
-        ext = self.tail.values_at(np.arange(len(self.values), n))
-        return np.concatenate([self.values, ext])
+            return self.values[first:n]
+        ext = self.tail.values_at(np.arange(max(first, len(self.values)), n))
+        return np.concatenate([self.values[first:], ext])
 
     def value_at(self, n: int) -> float:
         if n < len(self.values):
@@ -423,23 +423,17 @@ def weighted_tail_sum(x: Union[Sequence, Rearrangement], n: int) -> Bracket:
 
 
 def _powerlog_weighted_tail(x: PowerLogSequence, n: int, floor_start: int | None = None) -> Bracket:
-    alpha, beta = x.alpha, x.beta
-    s = abs(x.scale)
-    sign = 1.0 if x.scale >= 0 else -1.0
-    if s == 0.0:
+    if x.is_zero:
         return ZERO_BRACKET
     first = n + 1 if floor_start is None else max(n + 1, floor_start)
     if x.is_harmonic:
         # sum_{k >= first} 1/(k(k+1)) telescopes to 1/first
-        val = sign * s / first
-        return Bracket(val, val)
+        return Bracket(x.scale / first, x.scale / first)
     _, partial, rem = tail_sum(
-        lambda ks: np.abs(x.values_at(ks)), first, _over_k, alpha, beta, harmonic_weight=True, scale=s
+        lambda ks: np.abs(x.values_at(ks)), first, _over_k, x.alpha, x.beta, abs(x.scale), harmonic_weight=True
     )
     out = rem.shifted(partial)
-    if sign < 0:
-        return Bracket(-out.hi, -out.lo)
-    return out
+    return out if x.scale > 0 else Bracket(-out.hi, -out.lo)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .brackets import (
     TAIL_TOL,
     Bracket,
     DivergentTailError,
+    InvariantError,
     choose_tail_start,
     explicit_sum,
     powerlog_tail,
@@ -164,7 +165,7 @@ class NormValue:
 
     def __post_init__(self):
         if self.value < 0 or self.tail_halfwidth < 0:
-            raise ValueError("norm values and half-widths are nonnegative")
+            raise InvariantError("norm values and half-widths are nonnegative")
 
     @property
     def is_infinite(self) -> bool:
@@ -213,7 +214,7 @@ def lp_norm(x: MuLike, p: float, window: int = 65536) -> NormValue:
         return v ** p
 
     head_sum = explicit_sum(stored_profile(head), 0, len(head), power)
-    start, gap, rem = tail_sum(t.values_at, len(head), power, t.alpha * p, t.beta * p, scale=t.scale ** p)
+    start, gap, rem = tail_sum(t.values_at, len(head), power, t.alpha * p, t.beta * p, t.scale ** p)
     total = rem.shifted(head_sum + gap)
     b = Bracket(total.lo ** (1.0 / p), total.hi ** (1.0 / p))
     return _from_bracket(b, max(window, start))
@@ -247,7 +248,7 @@ def llog_norm(x: MuLike, window: int = 65536) -> NormValue:
     if mu.tail.is_zero:
         return NormValue(head_sum, 0.0, max(window, len(head)))
     t = mu.tail
-    start, gap, rem = tail_sum(t.values_at, len(head), over_n1, t.alpha, t.beta, shift_power=1.0, scale=t.scale)
+    start, gap, rem = tail_sum(t.values_at, len(head), over_n1, t.alpha, t.beta, t.scale, shift_power=1.0)
     return _from_bracket(rem.shifted(head_sum + gap), max(window, start))
 
 
@@ -267,14 +268,14 @@ def lorentz_phi_norm(x: MuLike, phi: PhiTemplate, window: int = 65536) -> NormVa
     if phi.name == "log1p":
         # log(1+1/(n+1)) = 1/(n+1) - delta, 0 < delta < 1/(2(n+1)^2):
         # bracket the tail between the shift-1 sum minus a shift-2 correction
-        # and the shift-1 sum itself.
-        s1_start, _ = choose_tail_start(t.alpha, t.beta, W0, TAIL_TOL / 2, shift_power=1.0, scale=t.scale)
-        s2_start, _ = choose_tail_start(t.alpha, t.beta, W0, TAIL_TOL / 2, shift_power=2.0, scale=t.scale)
+        # and the shift-1 sum itself, on the unit-scale profile.
+        s1_start, _ = choose_tail_start(t.alpha, t.beta, W0, TAIL_TOL / 2, shift_power=1.0)
+        s2_start, _ = choose_tail_start(t.alpha, t.beta, W0, TAIL_TOL / 2, shift_power=2.0)
         start = max(s1_start, s2_start)
         gap = explicit_sum(t.values_at, W0, start, weighted)
-        s1 = powerlog_tail(t.alpha, t.beta, start, shift_power=1.0, scale=t.scale)
-        s2 = powerlog_tail(t.alpha, t.beta, start, shift_power=2.0, scale=t.scale)
-        rem = Bracket(max(0.0, s1.lo - s2.hi / 2.0), s1.hi)
+        s1 = powerlog_tail(t.alpha, t.beta, start, shift_power=1.0)
+        s2 = powerlog_tail(t.alpha, t.beta, start, shift_power=2.0)
+        rem = Bracket(max(0.0, s1.lo - s2.hi / 2.0), s1.hi).scaled(t.scale)
         return _from_bracket(rem.shifted(head_sum + gap), max(window, start))
     theta = phi.theta
     if t.alpha <= theta:
@@ -284,7 +285,7 @@ def lorentz_phi_norm(x: MuLike, phi: PhiTemplate, window: int = 65536) -> NormVa
     # theta*(n+1)^(theta-1) <= phi(n+1)-phi(n) <= theta*n^(theta-1)
     #                       <= theta*(n+1)^(theta-1) * (1+1/n)
     start, gap, rem = tail_sum(
-        t.values_at, W0, weighted, t.alpha, t.beta, shift_power=1.0 - theta, scale=t.scale * theta
+        t.values_at, W0, weighted, t.alpha, t.beta, t.scale, shift_power=1.0 - theta, weight=theta
     )
     rem = Bracket(rem.lo, rem.hi * (1.0 + 1.0 / start))
     return _from_bracket(rem.shifted(head_sum + gap), max(window, start))
@@ -317,13 +318,10 @@ def marcinkiewicz_norm(x: MuLike, window: int = 65536) -> NormValue:
         raise OverflowError("the m1inf mass over the window exceeds the double range")
     if t.alpha > 1.0:
         # whole remaining mass: the explicit sum over [W, start) plus the
-        # bracketed tail from start
-        start, rem = choose_tail_start(
-            t.alpha, t.beta, max(W, len(mu.values)), tol=max(1e-9, 1e-6 * head_total)
-        )
-        rem = rem.scaled(t.scale) if t.scale != 1.0 else rem
-        gap = float(np.sum(np.asarray(mu.head(start)[W:], dtype=np.longdouble)))
-        beyond = (head_total + gap + rem.hi) / math.log(2.0 + W)
+        # bracketed tail from start, its target relative to the unit-scale mass
+        start, rem = choose_tail_start(t.alpha, t.beta, max(W, len(mu.values)), max(1e-9, 1e-6 * head_total / t.scale))
+        gap = explicit_sum(lambda ks: mu.head(int(ks[-1]) + 1, int(ks[0])), W, start, lambda v, ks: v)
+        beyond = (head_total + gap + rem.scaled(t.scale).hi) / math.log(2.0 + W)
     else:
         # alpha = 1, beta = 0: partial sums are scale*(H at the index) up to the
         # head/profile offset; H_{n+1} <= log(n+2) + gamma + 1 bounds the ratio.

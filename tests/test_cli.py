@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from calderon import cli
+from calderon.brackets import InvariantError
 from calderon.sequences import sequence_from_json
 
 
@@ -225,30 +226,47 @@ def test_fnorm_of_values_near_the_largest_double_certifies_a_power_log_witness(c
         assert doc["upper"] < 1e308 * math.log(4.0)  # the finite witness mu(x)
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
-def test_fnorm_lp2_of_a_moderate_input_keeps_memory_bounded(tmp_path):
-    # the re-check of the winning power-log witness, at scale 6.8e7, sums
-    # 2^24 weighted tail terms behind S: in blocks, not all at once (about
-    # 700 MB).  The child reads the peak of its own
-    # address space, VmHWM: ru_maxrss keeps the forking process's peak
-    # across exec.
-    p = tmp_path / "moderate.json"
-    p.write_text(json.dumps(
-        {"kind": "finite", "domain": "half_line", "offset": 0, "values": [1e8, 5e7, 3.3e7]}
-    ))
+def _run_with_peak(argv: list) -> tuple:
+    """Exit code, stdout and peak resident set in KiB of cli.main(argv) in a
+    fresh process.  The child reads the peak of its own address space, VmHWM:
+    ru_maxrss keeps the forking process's peak across exec."""
     child = (
         "import sys\n"
         "from calderon import cli\n"
-        "code = cli.main(['optrange', 'fnorm', '--space', 'lp:2', '--in', sys.argv[1]])\n"
+        "code = cli.main(sys.argv[1:])\n"
         "hwm = [ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')][0].split()[1]\n"
         "print(code, hwm, file=sys.stderr)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", child, str(p)], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", child] + argv, capture_output=True, text=True,
                           env=env, timeout=300)
     code, peak_kb = (int(v) for v in done.stderr.split()[-2:])
-    assert code == 0 and json.loads(done.stdout)["witness"]["window_verified"] is True
+    return code, done.stdout, peak_kb
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_fnorm_lp2_of_a_moderate_input_keeps_memory_bounded(tmp_path):
+    # the re-check of the winning power-log witness, at scale 6.8e7, chooses
+    # its tail start behind S on the unit-scale profile, far below the cap;
+    # the bound guards the memory of the whole call
+    p = tmp_path / "moderate.json"
+    p.write_text(json.dumps(
+        {"kind": "finite", "domain": "half_line", "offset": 0, "values": [1e8, 5e7, 3.3e7]}
+    ))
+    code, out, peak_kb = _run_with_peak(["optrange", "fnorm", "--space", "lp:2", "--in", str(p)])
+    assert code == 0 and json.loads(out)["witness"]["window_verified"] is True
+    assert peak_kb < 300 * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_norm_lp2_of_a_slowly_decaying_profile_keeps_memory_bounded(tmp_path):
+    # squares decaying like n^-1.02 sum out to the 2^24-term cap at scale 1:
+    # in blocks, not all at once (about 700 MB)
+    p = tmp_path / "slow.json"
+    p.write_text(json.dumps({"kind": "power_log", "alpha": 0.51, "beta": 0.0}))
+    code, out, peak_kb = _run_with_peak(["norm", "--space", "lp:2", "--in", str(p)])
+    assert code == 0 and json.loads(out)["window"] == 1 << 24
     assert peak_kb < 300 * 1024
 
 
@@ -269,6 +287,16 @@ def test_norm_infinite_value_in_csv(capsys, log_sq_profile_file):
 
 def test_norm_unknown_space_is_usage_error(capsys, impulse_file):
     assert cli.main(["norm", "--in", impulse_file, "--space", "banach"]) == 2
+
+
+def test_broken_invariant_exits_one_without_traceback(capsys, monkeypatch, impulse_file):
+    # a broken internal invariant is a fault of the program, not a usage error
+    def broken(args):
+        raise InvariantError("half-widths are nonnegative")
+
+    monkeypatch.setitem(cli._DISPATCH, "norm", broken)
+    assert cli.main(["norm", "--in", impulse_file, "--space", "llog"]) == 1
+    assert capsys.readouterr().err == "internal error: half-widths are nonnegative\n"
 
 
 @pytest.mark.parametrize("space", ["lp:inf", "file"])
@@ -326,8 +354,8 @@ def test_fnorm_window_flag(capsys, impulse_file, flag, window):
 
 
 def test_fnorm_lp2_of_moderate_input_is_certified(capsys, tmp_path):
-    # the winning power-log witness, at scale 6.8e7, reaches the tail cap
-    # behind S in the re-check; the wider bracket is still certified
+    # the winning power-log witness, at scale 6.8e7, is re-checked behind S
+    # with a tail bracket chosen on its unit-scale profile
     p = tmp_path / "x.json"
     p.write_text(json.dumps({"kind": "finite", "domain": "half_line", "offset": 0, "values": [1e8, 5e7, 3.3e7]}))
     code, doc = run_json(capsys, ["optrange", "fnorm", "--in", str(p), "--space", "lp:2"])

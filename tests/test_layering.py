@@ -3,8 +3,9 @@ verdict.  The math modules return numbers; `report` (cases, reports and
 their emission) is imported only by `suites`, `cli` and the package
 `__init__`, and `CaseResult` is constructed only in `report` and `suites`.
 
-scipy is imported only inside the two functions that need it, so that
-`import calderon` and a CLI call that reaches neither load numpy only."""
+scipy is imported only inside the one function that needs it, the tail
+integral, so that `import calderon` and a CLI call that reaches no tail load
+numpy only."""
 
 import ast
 import json
@@ -21,7 +22,7 @@ from calderon import LLOG, power_log, space_norm
 SRC = Path(calderon.__file__).resolve().parent
 REPORT_IMPORTERS = {"suites", "cli", "__init__"}
 CASE_BUILDERS = {"report", "suites"}
-SCIPY_USERS = {("brackets", "powerlog_tail"), ("operators", "_hilbert_finite_fast")}
+SCIPY_USERS = {("brackets", "powerlog_tail")}
 
 
 def _modules():
@@ -164,3 +165,19 @@ def test_power_log_norm_loads_scipy_special_on_first_use(tmp_path):
     direct = space_norm(LLOG, power_log(1.5, 0.0), window=65536)
     assert child == {"space": "llog", **direct.to_json_dict()}
     assert child["value"].hex() == direct.value.hex()
+
+
+def test_fast_hilbert_loads_no_scipy(tmp_path):
+    # the fast route convolves with numpy.fft at a 5-smooth length
+    fin = tmp_path / "fin.json"
+    fin.write_text(json.dumps({"kind": "finite", "domain": "line", "offset": -2, "values": [3.0, -1.0, 0.5, 2.0]}))
+    out = tmp_path / "out.json"
+    doc = _run_child(
+        "import json, sys\n"
+        "import calderon.cli\n"
+        f"code = calderon.cli.main(['hilbert', '--in', {str(fin)!r}, '--method', 'fast', '--window', '40', "
+        f"'--out', {str(out)!r}])\n"
+        f"print(json.dumps({{'loaded': {_LOADED_SCIPY}, 'code': code}}))\n"
+    )
+    assert doc == {"loaded": [], "code": 0}
+    assert len(json.loads(out.read_text())["values"]) == 81

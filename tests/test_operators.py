@@ -9,6 +9,7 @@ from calderon.operators import (
     METHOD_FAST,
     METHOD_NAIVE,
     OperatorOutput,
+    _fast_len,
     bench_hilbert,
     calderon,
     calderon_min_kernel,
@@ -305,6 +306,13 @@ def test_hilbert_method_alias_fast():
     a = hilbert(x, -3, 3, "fast").window_values
     b = hilbert(x, -3, 3, METHOD_FAST).window_values
     assert np.array_equal(a, b)
+
+
+def test_fast_length_is_scipys_real_fast_length():
+    # the fast route's transform length, the smallest 2^a 3^b 5^c >= n
+    from scipy.fft import next_fast_len
+
+    assert [_fast_len(n) for n in range(1, 100001)] == [next_fast_len(n, True) for n in range(1, 100001)]
 
 
 def test_fast_naive_agreement_small():

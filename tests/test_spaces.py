@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import zeta
 
-from calderon import brackets
-from calderon.brackets import TAIL_TOL, DivergentTailError, explicit_sum, stored_profile
+from calderon import brackets, spaces
+from calderon.brackets import TAIL_CAP, TAIL_TOL, DivergentTailError, explicit_sum, stored_profile
 from calderon.families import POWER_LOG_GRID
+from calderon.operators import calderon
+from calderon.optimal_range import GENERATORS, f_norm_upper
 from calderon.sequences import decreasing_rearrangement, finite, power_log, weighted_tail_sum
 from calderon.spaces import (
     LLOG,
@@ -311,6 +313,78 @@ def test_blocked_explicit_sum_equals_one_numpy_sum_bitwise(monkeypatch, n):
     ks = np.arange(5, 5 + n, dtype=np.float64)
     assert got == float(np.sum(np.asarray(vals, dtype=np.longdouble) * (ks + 0.5)))
     assert sum(blocks) == n and max(blocks) <= 128
+
+
+# ---------------------------------------------------------------------------
+# homogeneity: tail starts are chosen on the unit-scale profile
+
+POWERS_OF_TWO = tuple(2.0 ** k for k in (-20, -7, -1, 1, 3, 10))
+HOMOGENEITY_SPACES = (
+    LLOG,
+    lp_space(2.0),
+    SpaceSpec(kind="lorentz_phi", phi=LOG1P),
+    SpaceSpec(kind="lorentz_phi", phi=PhiTemplate("power", 0.5)),
+    M1INF,
+)
+
+
+def _ends(nv) -> list:
+    return [nv.value - nv.tail_halfwidth, nv.value, nv.value + nv.tail_halfwidth]
+
+
+@pytest.mark.parametrize("spec", HOMOGENEITY_SPACES + (lp_space(1.5),), ids=lambda E: E.label)
+@pytest.mark.parametrize("alpha, beta", GENERATORS)
+def test_certified_norm_scales_with_its_input(spec, alpha, beta):
+    # every start is the one at scale 1, and a power-of-two scale multiplies
+    # every term exactly, so the bracket at scale c is c times the unit one;
+    # lp(1.5) sums at scale c^1.5, which rounds
+    for window in (16, 1 << 10, 1 << 14):
+        unit = space_norm(spec, power_log(alpha, beta), window)
+        for c in POWERS_OF_TWO:
+            nv = space_norm(spec, power_log(alpha, beta, c), window)
+            assert nv.window == unit.window, (window, c)
+            if spec.p == 1.5:
+                want = [c * v for v in _ends(unit)]
+                assert _ends(nv) == pytest.approx(want, rel=1e-14, abs=0.0), (window, c)
+            else:
+                assert (nv.value, nv.tail_halfwidth) == (c * unit.value, c * unit.tail_halfwidth), (window, c)
+
+
+@pytest.mark.parametrize("alpha, beta", GENERATORS)
+def test_weighted_tail_and_calderon_image_scale_with_their_input(alpha, beta):
+    for window in (16, 1 << 10, 1 << 14):
+        unit_tails = [weighted_tail_sum(power_log(alpha, beta), n) for n in (0, window - 1)]
+        unit_image = calderon(decreasing_rearrangement(power_log(alpha, beta)), window)
+        for c in POWERS_OF_TWO:
+            x = power_log(alpha, beta, c)
+            tails = [weighted_tail_sum(x, n) for n in (0, window - 1)]
+            assert tails == [b.scaled(c) for b in unit_tails], (window, c)
+            image = calderon(decreasing_rearrangement(x), window)
+            assert np.array_equal(image.window_values, c * unit_image.window_values), (window, c)
+            assert np.array_equal(image.tail_halfwidth_per_index, c * unit_image.tail_halfwidth_per_index)
+
+
+@pytest.mark.parametrize("case", ["fnorm-lp2-recheck", "lp2-large-scale", "m1inf-small-scale"])
+def test_tail_starts_stay_below_the_cap_far_from_scale_one(monkeypatch, case):
+    # a target not scaled with the data would sum each of these tails out to
+    # TAIL_CAP: the re-check of the lp:2 witness pl(1.5,1) at scale 6.8e7
+    # behind S, the lp:2 tail at scale 5e7, and the m1inf mass at scale 1e-5
+    starts = []
+    choose = brackets.choose_tail_start
+
+    def spy(*args, **kwargs):
+        start, rem = choose(*args, **kwargs)
+        starts.append(start)
+        return start, rem
+
+    for module in (brackets, spaces):
+        monkeypatch.setattr(module, "choose_tail_start", spy)
+    {
+        "fnorm-lp2-recheck": lambda: f_norm_upper(finite([1e8, 5e7, 3.3e7]), lp_space(2.0)),
+        "lp2-large-scale": lambda: space_norm(lp_space(2.0), power_log(1.0, 0.0, 5e7)),
+        "m1inf-small-scale": lambda: marcinkiewicz_norm(power_log(1.05, 0.0, 1e-5)),
+    }[case]()
+    assert starts and max(starts) < TAIL_CAP
 
 
 # ---------------------------------------------------------------------------
