@@ -15,7 +15,10 @@ grid windows 2^14 and 2^10, plus a weak-l1 grid of power-log profiles near
 the membership edge and finite inputs over wide magnitude ranges, plus lp:2
 on a moderate finite input, plus finite normal supports of length 1000 to
 8000 in the four spaces that search the full catalog, where the finite
-witness wins over the priced power-log shapes), and the
+witness wins over the priced power-log shapes, plus 3000 normal entries at
+grid window 2^10 in all five spaces, which are certified on their whole
+support), `weak_l1_membership` of finite supports longer than its window
+(3000 normal entries at window 16, 70000 ones at the default), and the
 `check_domination` verdicts of those wide finite inputs against their own
 weak-l1 witness scaled by 1 and 0.999.  Magnitude edges: `weak_l1_membership`
 and the weak-l1 `f_norm_upper` on 3000 entries of 1e300 and of 1e305, the
@@ -234,6 +237,13 @@ def main() -> int:
     for E in FNORM_SPACES[1:]:
         for name, x in catalog_fnorm_inputs().items():
             record(out, f"fnorm/{E.label}/{name}", lambda: estimate_digest(f_norm_upper(x, E)))
+    # finite inputs longer than the window are read on their whole support
+    long_x = finite(np.random.default_rng(89).standard_normal(3000))
+    for E in FNORM_SPACES:
+        record(out, f"fnorm/{E.label}/normal3000/w1024",
+               lambda: estimate_digest(f_norm_upper(long_x, E, GridConfig(1 << 10))))
+    record(out, "member/normal3000/w16", lambda: member_doc(weak_l1_membership(long_x, 16)))
+    record(out, "member/ones70000", lambda: member_doc(weak_l1_membership(finite(np.ones(70000)))))
 
     for name, x in weak_l1_fnorm_inputs().items():
         for window in (1 << 14, 1 << 10, 16):

@@ -56,7 +56,8 @@ class Bracket:
 
     @property
     def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        # a zero-width bracket keeps its value: 0.5 * (v + v) overflows above ~9e307
+        return self.lo if self.lo == self.hi else 0.5 * (self.lo + self.hi)
 
     @property
     def halfwidth(self) -> float:

@@ -92,33 +92,12 @@ class OperatorOutput:
 SType = Union[Sequence, Rearrangement]
 
 
-def _half_line_window(x: SType, window: int) -> tuple[np.ndarray, float, float]:
-    """(dense values on [0, window), beyond-window tail-sum mid, halfwidth)
-    for the weighted tail sum_{k>=window} x(k)/k."""
-    if isinstance(x, FiniteSequence):
-        if x.domain is not IndexDomain.HALF_LINE:
-            raise DomainMismatchError("S acts on half-line sequences")
-        dense = x.dense(0, window)
-        if x.end <= window:
-            return dense, 0.0, 0.0
-        b = weighted_tail_sum(x, window - 1)
-        return dense, b.mid, b.halfwidth
-    if isinstance(x, PowerLogSequence):
-        b = weighted_tail_sum(x, window - 1)
-        return x.head(window), b.mid, b.halfwidth
-    if isinstance(x, Rearrangement):
-        if x.is_zero:
-            return np.zeros(window), 0.0, 0.0
-        b = weighted_tail_sum(x, window - 1)
-        return x.head(window), b.mid, b.halfwidth
-    raise TypeError(f"not a sequence: {type(x)!r}")
-
-
 def calderon(x: SType, window: int) -> OperatorOutput:
     """Prefix-sum evaluation of S on [0, window)."""
     if window < 1:
         raise ValueError("window must be positive")
-    dense, beyond_mid, beyond_hw = _half_line_window(x, window)
+    dense = x.head(window)
+    beyond = weighted_tail_sum(x, window - 1)  # sum_{k>=window} x(k)/k
     ld = np.asarray(dense, dtype=np.longdouble)
     prefix = np.cumsum(ld)
     ns = np.arange(window, dtype=np.longdouble)
@@ -129,8 +108,8 @@ def calderon(x: SType, window: int) -> OperatorOutput:
         w[1:] = ld[1:] / np.arange(1, window, dtype=np.longdouble)
     total = np.sum(w)
     suffix = total - np.cumsum(w)
-    values = (head + suffix + beyond_mid).astype(np.float64)
-    hw = np.full(window, float(beyond_hw))
+    values = (head + suffix + beyond.mid).astype(np.float64)
+    hw = np.full(window, float(beyond.halfwidth))
     return OperatorOutput(0, values, hw, METHOD_FAST)
 
 
@@ -145,15 +124,15 @@ def calderon_min_kernel(x: SType, window: int) -> OperatorOutput:
     if window * K > MIN_KERNEL_LIMIT or K > KERNEL_BLOCK:
         raise ValueError(f"min-kernel of {window} x {K} entries exceeds the size limit 2^30 (2^24 per row)")
     # a finite x ends by K, so its window carries no beyond-K tail
-    dense, beyond_mid, beyond_hw = _half_line_window(x, K)
+    dense, beyond = x.head(K), weighted_tail_sum(x, K - 1)
     ks = np.arange(K, dtype=np.float64)
     values = np.empty(window, dtype=np.float64)
     block = KERNEL_BLOCK // K
     for b0 in range(0, window, block):
         ns = np.arange(b0, min(b0 + block, window), dtype=np.float64)
         values[b0 : b0 + len(ns)] = kernel_values(ns[:, None], ks) @ dense
-    values += beyond_mid
-    hw = np.full(window, float(beyond_hw))
+    values += beyond.mid
+    hw = np.full(window, float(beyond.halfwidth))
     return OperatorOutput(0, values, hw, METHOD_NAIVE)
 
 

@@ -20,11 +20,12 @@ weak-l1, c_a(x) = sup_n mu(n, x) (n+1) / log(n+2) characterizes membership
 One test, `_domination`, decides mu(x) <= S mu(y) for the search (against the
 lower end of S mu(y), which certifies the scale) and for the re-check
 (against the upper end, which refutes only beyond the bracket).  It checks an
-explicit window and closes the tail by an analytic argument: trivially for
-finitely supported x, or by a certified ratio bound for power-log tails (the
-harmonic witness uses (S mu(a))(n) = (H_{n+1}+1)/(n+1) > log(n+2)/(n+1);
-general witnesses use the partial-sum lower bound S mu(y)(n) >= P_y(W)/(n+1)
-for n >= W).
+explicit window and closes the tail by an analytic argument.  A finite x is
+read whole: its window is at least its support, so nothing is left beyond.
+The window bounds analytic heads only, and a power-log tail is closed by a
+certified ratio bound (the harmonic witness uses (S mu(a))(n) =
+(H_{n+1}+1)/(n+1) > log(n+2)/(n+1); general witnesses use the partial-sum
+lower bound S mu(y)(n) >= P_y(W)/(n+1) for n >= W).
 
 The property measurements at the end (quasi-triangle sides, minimality
 probes, the upper constant of H against S mu) return numbers; `suites.py`
@@ -57,7 +58,7 @@ from .sequences import (
     power_log,
     sequence_to_json,
 )
-from .spaces import WEAK_L1, SpaceSpec, space_norm
+from .spaces import WEAK_L1, SpaceSpec, space_norm, weighted_sup
 
 TAIL_FINITE_SUPPORT = "finite_support_x"
 TAIL_ANALYTIC = "analytic_comparison"
@@ -173,10 +174,6 @@ def _harmonic_calderon_window(window: int) -> np.ndarray:
     return img
 
 
-def _mu_head(mu: Rearrangement, window: int) -> np.ndarray:
-    return mu.head(window) if not mu.tail.is_zero else mu.head(min(window, len(mu.values)))
-
-
 # ---------------------------------------------------------------------------
 # membership functional
 
@@ -188,41 +185,19 @@ class MembershipResult:
 
 
 def weak_l1_membership(x: MuLike, window: int = 1 << 14) -> MembershipResult:
-    """c_a(x) = sup_n mu(n, x)(n+1)/log(n+2); member iff finite.  A window
-    sup beyond the double range raises OverflowError (inf means divergence)."""
-    tail_sup = None
+    """c_a(x) = sup_n mu(n, x)(n+1)/log(n+2); member iff finite.  A finite
+    x is read on its whole support, an analytic one to the window.  An
+    explicit sup beyond the double range raises OverflowError (inf means
+    divergence)."""
     if isinstance(x, PowerLogSequence):
         # the rearrangement keeps the profile's own tail (at scale |x.scale|,
         # from index window on), so divergence of c_a is decided by the tail
         # alone -- no head resolution needed (profiles with alpha < 1 may not
         # settle within any desk-scale cap)
-        tail_sup = ratio_profile_sup(x.alpha - 1.0, x.beta - 1.0, window, scale=abs(x.scale))
-        if math.isinf(tail_sup):
+        if math.isinf(ratio_profile_sup(x.alpha - 1.0, x.beta - 1.0, window, scale=abs(x.scale))):
             return MembershipResult(False, math.inf)
-    mu = decreasing_rearrangement(x)
-    head = _mu_head(mu, window)
-    W = len(head)
-    if W == 0 and mu.tail.is_zero:
-        return MembershipResult(True, 0.0)
-    window_sup = 0.0
-    if W:
-        # on head / 2^e, e the exponent of mu(0) = max head, no intermediate
-        # overflows; the power-of-two rescale is exact
-        e = math.frexp(head[0])[1]
-        ns = np.arange(W, dtype=np.float64)
-        scaled_sup = float(np.max(np.ldexp(head, -e) * (ns + 1.0) / np.log(ns + 2.0)))
-        try:
-            window_sup = math.ldexp(scaled_sup, e)
-        except OverflowError:
-            raise OverflowError("c_a over the window exceeds the double range") from None
-    if mu.tail.is_zero:
-        return MembershipResult(True, window_sup)
-    if tail_sup is None:
-        t = mu.tail
-        tail_sup = ratio_profile_sup(t.alpha - 1.0, t.beta - 1.0, W, scale=t.scale)
-    if math.isinf(tail_sup):
-        return MembershipResult(False, math.inf)
-    return MembershipResult(True, max(window_sup, tail_sup))
+    c_a = weighted_sup(decreasing_rearrangement(x), window, 1)
+    return MembershipResult(not math.isinf(c_a), c_a)
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +208,24 @@ def _domination(
     mu_x: Rearrangement, y: MuLike, image: np.ndarray, window: int
 ) -> tuple[np.ndarray, float, str]:
     """The one test of mu(x) <= S mu(y).  image is one end of the bracket of
-    S mu(y) on [0, window).  Returns the window ratios mu_x(n) / image(n)
-    (0 where mu_x(n) = 0), a certified sup of mu_x(n) / (S mu(y))(n) over
-    n >= window (inf when no rule certifies one) and the tail argument used."""
+    S mu(y) on [0, window), and the window covers the support of a finite
+    mu_x.  Returns the window ratios mu_x(n) / image(n) (0 where mu_x(n) =
+    0), a certified sup of mu_x(n) / (S mu(y))(n) over n >= window (inf when
+    no rule certifies one) and the tail argument used."""
     lhs = mu_x.head(window)  # zero past a finite support
     # a ratio beyond the double range reads inf: no double scale certifies it
     with np.errstate(divide="ignore", over="ignore"):
         ratios = np.divide(lhs, image, out=np.zeros(window), where=lhs > 0)
-    if mu_x.tail.is_zero and len(mu_x.values) <= window:
-        return ratios, 0.0, TAIL_FINITE_SUPPORT
     t = mu_x.tail
     if t.is_zero:
-        # head extends past the window: not certifiable by these rules
-        return ratios, math.inf, TAIL_ANALYTIC
+        return ratios, 0.0, TAIL_FINITE_SUPPORT
     sups = []
     if isinstance(y, PowerLogSequence) and y.is_harmonic and y.scale > 0:
         # S mu(y)(n) = scale*(H_{n+1}+1)/(n+1) > scale*log(n+2)/(n+1)
         sups.append(ratio_profile_sup(t.alpha - 1.0, t.beta - 1.0, window, scale=t.scale / y.scale))
     mu_y = decreasing_rearrangement(y)
-    partial = float(np.sum(np.asarray(_mu_head(mu_y, window), dtype=np.longdouble)))
+    head_y = mu_y.values[:window] if mu_y.tail.is_zero else mu_y.head(window)
+    partial = float(np.sum(np.asarray(head_y, dtype=np.longdouble)))
     if partial > 0:
         # S mu(y)(n) >= P/(n+1) for n >= window, P = sum_{k<window} mu(y)(k)
         sups.append(ratio_profile_sup(t.alpha - 1.0, t.beta, window, scale=t.scale / partial))
@@ -260,11 +234,13 @@ def _domination(
 
 def check_domination(x: MuLike, y: MuLike, window: int) -> DominationCertificate:
     """Re-verify mu(x) <= S mu(y) from an independent `calderon` evaluation of
-    S mu(y).  The test reads the upper end of that bracket, values plus
+    S mu(y), on the window or, for a finite x, on its whole support if that
+    is longer.  The test reads the upper end of that bracket, values plus
     half-widths, and passes iff every window ratio and the tail sup are at
     most 1 + DOMINATION_TOL: the slack is purely relative, so it refutes a
     witness only beyond its own recomputed bracket."""
     mu_x = decreasing_rearrangement(x)
+    window = mu_x.read_window(window)
     with np.errstate(over="ignore"):  # an image entry that rounds to inf: see _candidate_scale
         s = calderon(decreasing_rearrangement(y), window)
     ratios, tail_sup, tail_argument = _domination(
@@ -368,18 +344,21 @@ def f_norm_upper(
     underflows to 0 is skipped.  The first minimum wins, so ties go to the
     earlier shape.
 
+    Candidates are checked on the grid window, or on the whole support of a
+    longer finite x; power-log unit norms are read at the grid window.
+
     Raises NoWitnessFoundError when no shape certifies; for E = weak-l1 the
     error is accompanied by the certified divergence of c_a(x) (x is then
     genuinely outside F), otherwise the search is merely inconclusive.
     """
-    window = search.window
-    member = weak_l1_membership(x, window) if E.kind == "weak_l1" else None
+    member = weak_l1_membership(x, search.window) if E.kind == "weak_l1" else None
     if member is not None and not member.member:
         # certified before any head resolution: no witness can dominate x
         raise NoWitnessFoundError(
             "no witness exists: c_a(x) diverges, x is outside the range space"
         )
     mu_x = decreasing_rearrangement(x)
+    window = mu_x.read_window(search.window)
     if mu_x.is_zero:
         cert = DominationCertificate(
             x=x, y=finite(()), window=window, window_verified=True,
@@ -407,7 +386,7 @@ def f_norm_upper(
         y = _scaled_shape(shape, c)
         try:
             if isinstance(shape, PowerLogSequence):
-                e_norm = c * _unit_norm(E, shape, window)  # |c g|_E = c |g|_E
+                e_norm = c * _unit_norm(E, shape, search.window)  # |c g|_E = c |g|_E
             else:
                 nv = space_norm(E, y, window)
                 e_norm = nv.value + nv.tail_halfwidth  # the certified upper end

@@ -28,27 +28,26 @@ class RunConfig:
     seed: int = 1
     window: int = 65536
     trials: int = 200
-    tolerance_exact: float = 1e-12
-    tolerance_fast: float = 1e-9
 
     def __post_init__(self):
         if self.window < 16:
             raise ValueError("window must be at least 16")
-        if not (self.tolerance_exact > 0 and self.tolerance_fast > 0):
-            raise ValueError("tolerances must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.trials < 1:
             raise ValueError("trials must be positive")
 
     def environment_echo(self) -> dict:
-        """The configuration, echoed into every report."""
+        """The configuration, echoed into every report together with the
+        fixed tolerances of the suites' pass rules."""
+        from .suites import TOLERANCE_EXACT, TOLERANCE_FAST  # suites imports this module
+
         return {
             "seed": self.seed,
             "window": self.window,
             "trials": self.trials,
-            "tolerance_exact": self.tolerance_exact,
-            "tolerance_fast": self.tolerance_fast,
+            "tolerance_exact": TOLERANCE_EXACT,
+            "tolerance_fast": TOLERANCE_FAST,
         }
 
 

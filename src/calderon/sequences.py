@@ -96,6 +96,9 @@ class FiniteSequence:
             out[a - lo : b - lo] = self.values[a - self.offset : b - self.offset]
         return out
 
+    def head(self, n: int) -> np.ndarray:
+        return self.dense(0, n)
+
     def l1(self) -> float:
         return float(np.sum(np.abs(self.values), dtype=np.longdouble))
 
@@ -251,6 +254,10 @@ class Rearrangement:
     def is_zero(self) -> bool:
         return self.values.size == 0 and self.tail.is_zero
 
+    def read_window(self, window: int) -> int:
+        """The window mu is read on: a finite mu's whole support if longer."""
+        return max(window, len(self.values)) if self.tail.is_zero else window
+
     def head(self, n: int, first: int = 0) -> np.ndarray:
         """Rearranged values at the indices first, ..., n - 1."""
         if n <= len(self.values):
@@ -385,7 +392,24 @@ def materialize(x: Union[Sequence, Rearrangement], n: int) -> FiniteSequence:
 
 
 # ---------------------------------------------------------------------------
-# weighted tail sums  sum_{k > n} x(k)/k
+# series over a rearrangement, and weighted tail sums  sum_{k > n} x(k)/k
+
+
+def series(mu: Rearrangement, term, first: int = 0, power: float = 1.0, **tail) -> tuple[int, float, Bracket]:
+    """sum_{k >= first} term(mu(k), k) as (start, explicit, rem): explicit in
+    longdouble over [first, start), stored head then profile, and rem the
+    bracket beyond.  A finite mu is read on its whole support (rem is zero);
+    an analytic tail is closed by `brackets.tail_sum`, so term(mu(k), k) must
+    be its power-log profile to the `power`, times the weights in `tail`."""
+    W = len(mu.values)
+    head = explicit_sum(stored_profile(mu.values), first, W, term)
+    t = mu.tail
+    if t.is_zero:
+        return max(first, W), head, ZERO_BRACKET
+    start, gap, rem = tail_sum(
+        t.values_at, max(first, W), term, t.alpha * power, t.beta * power, t.scale ** power, **tail
+    )
+    return start, head + gap, rem
 
 
 def _over_k(v, ks):
@@ -395,45 +419,32 @@ def _over_k(v, ks):
 def weighted_tail_sum(x: Union[Sequence, Rearrangement], n: int) -> Bracket:
     """Certified value of sum_{k=n+1}^inf x(k)/k.
 
-    Exact for finite supports.  For power-log data the harmonic profile
-    telescopes to scale/(n+1); otherwise the one tail policy of
-    `brackets.tail_sum` applies: an explicit window is summed and the
-    remainder bracketed, and at TAIL_CAP the wider bracket is returned.
+    Exact for finite supports.  A power-log x is read as an empty-head
+    rearrangement at |scale| and the sign restored.  A harmonic tail
+    telescopes to scale/first; every other one is closed by `series`.
     """
     if n < 0:
         raise ValueError("tail sums start at n >= 0")
     if isinstance(x, FiniteSequence):
         if x.domain is not IndexDomain.HALF_LINE:
             raise DomainMismatchError("weighted tail sums live on the half line")
-        a = max(n + 1, x.offset, 1)
+        a = max(n + 1, x.offset)
         total = explicit_sum(stored_profile(x.values, x.offset), a, x.end, _over_k)
         return Bracket(total, total)
     if isinstance(x, PowerLogSequence):
-        return _powerlog_weighted_tail(x, n)
-    if isinstance(x, Rearrangement):
-        W = len(x.values)
-        a = max(n + 1, 1)
-        t = explicit_sum(stored_profile(x.values), a, W, _over_k)
-        head_part = Bracket(t, t)
-        if x.tail.is_zero:
-            return head_part
-        beyond = _powerlog_weighted_tail(x.tail, max(n, W - 1), floor_start=W)
-        return head_part + beyond
-    raise TypeError(f"not a sequence: {type(x)!r}")
-
-
-def _powerlog_weighted_tail(x: PowerLogSequence, n: int, floor_start: int | None = None) -> Bracket:
-    if x.is_zero:
-        return ZERO_BRACKET
-    first = n + 1 if floor_start is None else max(n + 1, floor_start)
-    if x.is_harmonic:
-        # sum_{k >= first} 1/(k(k+1)) telescopes to 1/first
-        return Bracket(x.scale / first, x.scale / first)
-    _, partial, rem = tail_sum(
-        lambda ks: np.abs(x.values_at(ks)), first, _over_k, x.alpha, x.beta, abs(x.scale), harmonic_weight=True
-    )
-    out = rem.shifted(partial)
-    return out if x.scale > 0 else Bracket(-out.hi, -out.lo)
+        b = weighted_tail_sum(Rearrangement(np.empty(0), PowerLogTail(x.alpha, x.beta, abs(x.scale))), n)
+        return b if x.scale >= 0 else Bracket(-b.hi, -b.lo)
+    if not isinstance(x, Rearrangement):
+        raise TypeError(f"not a sequence: {type(x)!r}")
+    t = x.tail
+    if t.is_zero or not t.is_harmonic:
+        _, explicit, rem = series(x, _over_k, n + 1, harmonic_weight=True)
+        return rem.shifted(explicit)
+    # sum_{k >= first} 1/(k(k+1)) telescopes to 1/first
+    W = len(x.values)
+    head = explicit_sum(stored_profile(x.values), n + 1, W, _over_k)
+    first = max(n + 1, W)
+    return Bracket(t.scale / first, t.scale / first).shifted(head)
 
 
 # ---------------------------------------------------------------------------

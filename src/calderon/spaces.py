@@ -12,8 +12,10 @@ spaces:
 * sum_weakl1_linf inf over splittings x = x1 + x2 of |x1|_weak + |x2|_sup,
                   which equals mu(0) exactly
 
-Values are certified: explicit window arithmetic plus analytic tail brackets
-for the power-log family.  A functional that genuinely diverges reports an
+Values are certified: a finite mu is read on its whole support, an analytic
+one explicitly and then by analytic tail brackets for the power-log family
+(every series through `sequences.series`, both weighted sups through
+`weighted_sup`).  A functional that genuinely diverges reports an
 infinite value (`NormValue.is_infinite`) rather than raising; summatory norms
 whose tail integral diverges raise DivergentTailError since no finite bracket
 exists.
@@ -37,7 +39,6 @@ from .brackets import (
     powerlog_tail,
     ratio_profile_sup,
     stored_profile,
-    tail_sum,
 )
 from .sequences import (
     FiniteSequence,
@@ -47,6 +48,7 @@ from .sequences import (
     harmonic_number,
     json_number,
     json_safe_float,
+    series,
 )
 
 INFINITE = math.inf
@@ -204,91 +206,95 @@ def lp_norm(x: MuLike, p: float, window: int = 65536) -> NormValue:
         m0 = float(head[0]) if len(head) else 1.0
         ratio_sum = float(np.sum((np.asarray(head, dtype=np.longdouble) / m0) ** p))
         return NormValue(m0 * ratio_sum ** (1.0 / p), 0.0, max(window, len(head)))
-    t = mu.tail
-    if t.alpha * p <= 1.0:
+    if mu.tail.alpha * p <= 1.0:
         raise DivergentTailError(
-            f"lp tail diverges: p*alpha = {p * t.alpha:g} <= 1 for the analytic tail"
+            f"lp tail diverges: p*alpha = {p * mu.tail.alpha:g} <= 1 for the analytic tail"
         )
 
     def power(v, ks):
         return v ** p
 
-    head_sum = explicit_sum(stored_profile(head), 0, len(head), power)
-    start, gap, rem = tail_sum(t.values_at, len(head), power, t.alpha * p, t.beta * p, t.scale ** p)
-    total = rem.shifted(head_sum + gap)
+    start, explicit, rem = series(mu, power, power=p)
+    total = rem.shifted(explicit)
     b = Bracket(total.lo ** (1.0 / p), total.hi ** (1.0 / p))
     return _from_bracket(b, max(window, start))
+
+
+def weighted_sup(mu: Rearrangement, window: int, log_power: int) -> float:
+    """sup_n mu(n) (n+1) / log(n+2)**log_power for log_power in {0, 1}: a
+    finite mu read on its whole support, an analytic one to the window with
+    its tail closed by `ratio_profile_sup` (inf when it grows).  Formed on
+    mu / 2**e, e the exponent of mu(0), so no product overflows and the
+    rescale is exact; an explicit sup beyond the double range raises
+    OverflowError, since inf means divergence."""
+    t = mu.tail
+    head = mu.values if t.is_zero else mu.head(window)
+    sup = 0.0
+    if len(head):
+        e = math.frexp(head[0])[1]
+        ns = np.arange(len(head), dtype=np.float64)
+        scaled = np.ldexp(head, -e) * (ns + 1.0)
+        if log_power:
+            scaled = scaled / np.log(ns + 2.0)
+        try:
+            sup = math.ldexp(float(np.max(scaled)), e)
+        except OverflowError:
+            name = ("the weak-l1 quasinorm", "c_a")[log_power]
+            raise OverflowError(f"{name} over the window exceeds the double range") from None
+    if t.is_zero:
+        return sup
+    return max(sup, ratio_profile_sup(t.alpha - 1.0, t.beta - log_power, len(head), scale=t.scale))
 
 
 def weak_l1_quasinorm(x: MuLike, window: int = 65536) -> NormValue:
     """sup_n (n+1) mu(n); infinite when the analytic tail grows faster than 1/n."""
     mu = decreasing_rearrangement(x)
-    head = mu.head(window) if not mu.tail.is_zero else mu.values
-    W = len(head)
-    with np.errstate(over="ignore"):  # an overflow is reported by space_norm
-        window_sup = float(np.max((np.arange(W) + 1.0) * head)) if W else 0.0
-    if mu.tail.is_zero:
-        return NormValue(window_sup, 0.0, max(window, W))
-    t = mu.tail
-    tail_sup = ratio_profile_sup(t.alpha - 1.0, t.beta, W, scale=t.scale)
-    if math.isinf(tail_sup):
-        return _infinite(window)
-    return NormValue(max(window_sup, tail_sup), 0.0, max(window, W))
+    return NormValue(weighted_sup(mu, window, 0), 0.0, mu.read_window(window))
 
 
 def llog_norm(x: MuLike, window: int = 65536) -> NormValue:
     """sum_n mu(n)/(n+1) with certified tail bracket."""
-    mu = decreasing_rearrangement(x)
-    head = mu.values
 
     def over_n1(v, ks):
         return v / (ks + 1.0)
 
-    head_sum = explicit_sum(stored_profile(head), 0, len(head), over_n1)
-    if mu.tail.is_zero:
-        return NormValue(head_sum, 0.0, max(window, len(head)))
-    t = mu.tail
-    start, gap, rem = tail_sum(t.values_at, len(head), over_n1, t.alpha, t.beta, t.scale, shift_power=1.0)
-    return _from_bracket(rem.shifted(head_sum + gap), max(window, start))
+    start, explicit, rem = series(decreasing_rearrangement(x), over_n1, shift_power=1.0)
+    return _from_bracket(rem.shifted(explicit), max(window, start))
 
 
 def lorentz_phi_norm(x: MuLike, phi: PhiTemplate, window: int = 65536) -> NormValue:
     """sum_n mu(n) (phi(n+1) - phi(n)) with certified tail bracket."""
     mu = decreasing_rearrangement(x)
-    head = mu.values
+    t = mu.tail
 
     def weighted(v, ks):
         return v * phi.increments(ks)
 
-    head_sum = explicit_sum(stored_profile(head), 0, len(head), weighted)
-    if mu.tail.is_zero:
-        return NormValue(head_sum, 0.0, max(window, len(head)))
-    t = mu.tail
-    W0 = len(head)
-    if phi.name == "log1p":
-        # log(1+1/(n+1)) = 1/(n+1) - delta, 0 < delta < 1/(2(n+1)^2):
-        # bracket the tail between the shift-1 sum minus a shift-2 correction
-        # and the shift-1 sum itself, on the unit-scale profile.
-        s1_start, _ = choose_tail_start(t.alpha, t.beta, W0, TAIL_TOL / 2, shift_power=1.0)
-        s2_start, _ = choose_tail_start(t.alpha, t.beta, W0, TAIL_TOL / 2, shift_power=2.0)
-        start = max(s1_start, s2_start)
-        gap = explicit_sum(t.values_at, W0, start, weighted)
-        s1 = powerlog_tail(t.alpha, t.beta, start, shift_power=1.0)
+    if t.is_zero:
+        start, explicit, rem = series(mu, weighted)
+    elif phi.name == "log1p":
+        # log(1+1/(n+1)) = 1/(n+1) - delta, 0 < delta < 1/(2(n+1)^2): on the
+        # unit-scale profile the tail lies between the shift-1 sum minus half
+        # the shift-2 sum and the shift-1 sum.  The start is chosen on the
+        # shift-1 series: the shift-2 one is safe no later and, with an extra
+        # factor 1/U, no wider there.
+        W = len(mu.values)
+        start, s1 = choose_tail_start(t.alpha, t.beta, W, TAIL_TOL / 2, shift_power=1.0)
         s2 = powerlog_tail(t.alpha, t.beta, start, shift_power=2.0)
+        head = explicit_sum(stored_profile(mu.values), 0, W, weighted)
+        explicit = head + explicit_sum(t.values_at, W, start, weighted)
         rem = Bracket(max(0.0, s1.lo - s2.hi / 2.0), s1.hi).scaled(t.scale)
-        return _from_bracket(rem.shifted(head_sum + gap), max(window, start))
-    theta = phi.theta
-    if t.alpha <= theta:
-        raise DivergentTailError(
-            f"lorentz_phi tail diverges: alpha = {t.alpha:g} <= theta = {theta:g}"
-        )
-    # theta*(n+1)^(theta-1) <= phi(n+1)-phi(n) <= theta*n^(theta-1)
-    #                       <= theta*(n+1)^(theta-1) * (1+1/n)
-    start, gap, rem = tail_sum(
-        t.values_at, W0, weighted, t.alpha, t.beta, t.scale, shift_power=1.0 - theta, weight=theta
-    )
-    rem = Bracket(rem.lo, rem.hi * (1.0 + 1.0 / start))
-    return _from_bracket(rem.shifted(head_sum + gap), max(window, start))
+    else:
+        theta = phi.theta
+        if t.alpha <= theta:
+            raise DivergentTailError(
+                f"lorentz_phi tail diverges: alpha = {t.alpha:g} <= theta = {theta:g}"
+            )
+        # theta*(n+1)^(theta-1) <= phi(n+1)-phi(n) <= theta*n^(theta-1)
+        #                       <= theta*(n+1)^(theta-1) * (1+1/n)
+        start, explicit, rem = series(mu, weighted, shift_power=1.0 - theta, weight=theta)
+        rem = Bracket(rem.lo, rem.hi * (1.0 + 1.0 / start))
+    return _from_bracket(rem.shifted(explicit), max(window, start))
 
 
 def marcinkiewicz_norm(x: MuLike, window: int = 65536) -> NormValue:
@@ -346,8 +352,7 @@ def sum_space_quasinorm(x: MuLike, window: int = 65536) -> NormValue:
     exact (half-width 0) for finite and analytic inputs alike.
     """
     mu = decreasing_rearrangement(x)
-    W = max(window, len(mu.values)) if mu.tail.is_zero else window
-    return NormValue(mu.value_at(0), 0.0, W)
+    return NormValue(mu.value_at(0), 0.0, mu.read_window(window))
 
 
 def space_norm(spec: SpaceSpec, x: MuLike, window: int = 65536) -> NormValue:

@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from calderon import cli
 from calderon.brackets import InvariantError
-from calderon.sequences import sequence_from_json
+from calderon.optimal_range import check_domination
+from calderon.sequences import PowerLogTail, Rearrangement, ZeroTail, sequence_from_json
 
 
 @pytest.fixture()
@@ -379,6 +381,46 @@ def test_member_weakl1(capsys, harmonic_file, log_sq_profile_file):
     code, doc = run_json(capsys, ["optrange", "member-weakl1", "--in", log_sq_profile_file])
     assert code == 0
     assert doc["member"] is False and doc["c_a"] == "Infinity"
+
+
+@pytest.fixture(scope="module")
+def long_finite_file(tmp_path_factory):
+    # 3000 normal entries, longer than the certificate window 1024
+    values = np.random.default_rng(15).standard_normal(3000).tolist()
+    p = tmp_path_factory.mktemp("long") / "long.json"
+    p.write_text(json.dumps({"kind": "finite", "domain": "half_line", "offset": 0, "values": values}))
+    return str(p)
+
+
+def _witness_from_json(doc):
+    if doc.get("kind") != "rearrangement":
+        return sequence_from_json(doc)
+    t = doc["tail"]
+    tail = ZeroTail() if t == "zero" else PowerLogTail(t["alpha"], t["beta"], t["scale"])
+    return Rearrangement(np.array(doc["head"]), tail)
+
+
+@pytest.mark.parametrize("space", ["weak_l1", "llog", "lp:2", "lorentz:log1p", "m1inf"])
+def test_fnorm_of_a_finite_input_longer_than_the_window_certifies(capsys, long_finite_file, space):
+    # a finite input is certified on its whole support: the window bounds
+    # analytic heads only
+    code, doc = run_json(capsys, ["optrange", "fnorm", "--in", long_finite_file, "--space", space,
+                                  "--window", "1024"])
+    assert code == 0
+    w = doc["witness"]
+    assert w["window"] == 3000 and w["window_verified"] is True and w["tail_ok"] is True
+    with open(long_finite_file, encoding="utf-8") as fh:
+        x = sequence_from_json(json.load(fh))
+    assert check_domination(x, _witness_from_json(w["y"]), 1024).verified
+
+
+def test_member_weakl1_reads_a_finite_input_past_the_window(capsys, tmp_path):
+    # c_a of 70000 ones is 70000/log(70001), attained at the last entry
+    p = tmp_path / "ones.json"
+    p.write_text(json.dumps({"kind": "finite", "domain": "half_line", "offset": 0, "values": [1.0] * 70000}))
+    code, doc = run_json(capsys, ["optrange", "member-weakl1", "--in", str(p)])
+    assert code == 0 and doc["member"] is True
+    assert doc["c_a"] == pytest.approx(70000 / math.log(70001), rel=1e-14)
 
 
 @pytest.mark.parametrize("scale", [-1.0, -0.37])

@@ -111,7 +111,10 @@ def test_emit_values_csv_full_precision():
 def test_run_config_frozen_with_defaults():
     cfg = RunConfig()
     assert cfg.seed == 1 and cfg.window == 65536 and cfg.trials == 200
-    assert cfg.tolerance_exact == 1e-12 and cfg.tolerance_fast == 1e-9
+    # the pass-rule tolerances are constants of the suites, still echoed
+    assert cfg.environment_echo() == {
+        "seed": 1, "window": 65536, "trials": 200, "tolerance_exact": 1e-12, "tolerance_fast": 1e-9,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ their emission) is imported only by `suites`, `cli` and the package
 
 scipy is imported only inside the one function that needs it, the tail
 integral, so that `import calderon` and a CLI call that reaches no tail load
-numpy only."""
+numpy only.
+
+Every series over a rearrangement is read through `sequences.series`, the one
+caller of `brackets.tail_sum`; only the two tails with their own target (the
+m1inf mass and the log1p split) choose a start themselves."""
 
 import ast
 import json
@@ -23,6 +27,8 @@ SRC = Path(calderon.__file__).resolve().parent
 REPORT_IMPORTERS = {"suites", "cli", "__init__"}
 CASE_BUILDERS = {"report", "suites"}
 SCIPY_USERS = {("brackets", "powerlog_tail")}
+TAIL_SUM_CALLERS = {("sequences", "series")}
+TAIL_START_CHOOSERS = {("brackets", "tail_sum"), ("spaces", "marcinkiewicz_norm"), ("spaces", "lorentz_phi_norm")}
 
 
 def _modules():
@@ -181,3 +187,41 @@ def test_fast_hilbert_loads_no_scipy(tmp_path):
     )
     assert doc == {"loaded": [], "code": 0}
     assert len(json.loads(out.read_text())["values"]) == 81
+
+
+def _callers(tree, name: str) -> set:
+    """The outermost enclosing function (None at module level) of every call
+    of `name`, plain or as an attribute."""
+    found = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, func or child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                    found.add(func)
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_tail_rules_are_called_only_where_the_reading_policy_allows():
+    modules = _modules()
+    tail_sum = {(m, f) for m, tree in modules for f in _callers(tree, "tail_sum")}
+    assert tail_sum == TAIL_SUM_CALLERS
+    choose = {(m, f) for m, tree in modules for f in _callers(tree, "choose_tail_start")}
+    assert choose == TAIL_START_CHOOSERS
+    names = {getattr(n, "name", None) or getattr(n, "id", None) or getattr(n, "attr", None)
+             for _, tree in modules for n in ast.walk(tree)}
+    assert "_mu_head" not in names
+
+
+def test_caller_detector_sees_plain_attribute_and_nested_calls():
+    tree = ast.parse("def f():\n    def g():\n        return brackets.tail_sum(1)\n"
+                     "def h():\n    tail_sum(2)\ntail_sum(3)\n")
+    assert _callers(tree, "tail_sum") == {"f", "h", None}
+    assert not _callers(ast.parse("tail_sums(1)\nx = tail_sum\n"), "tail_sum")

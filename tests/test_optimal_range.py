@@ -489,6 +489,8 @@ def test_weak_l1_membership_window_sup_is_the_direct_formula():
         ns = np.arange(len(mu), dtype=np.float64)
         direct = float(np.max(mu * (ns + 1.0) / np.log(ns + 2.0)))
         assert weak_l1_membership(finite(v)).c_a == direct
+        # a finite support is read whole, also past the window
+        assert weak_l1_membership(finite(v), window=16).c_a == direct
 
 
 @pytest.mark.parametrize("s", [-1.0, -0.37])

@@ -283,6 +283,19 @@ def test_weighted_tail_rearrangement_combines_head_and_profile():
     assert max(b.lo, brute + rem.lo) <= min(b.hi, brute + rem.hi) + 1e-12
 
 
+@pytest.mark.parametrize("alpha,beta,scale,n", [(1.0, 2.0, 1.0, 5), (3.0, 2.0, 0.37, 5), (2.5, 0.5, 0.37, 0)])
+def test_weighted_tail_rearrangement_with_head_past_n_contains_brute(alpha, beta, scale, n):
+    # the stored head reaches past n, so the explicit sum starts inside it
+    mu = decreasing_rearrangement(power_log(alpha, beta, scale))
+    assert len(mu.values) > n + 1
+    b = weighted_tail_sum(mu, n)
+    K = 1 << 22
+    ks = np.arange(n + 1, K, dtype=np.float64)
+    brute = float(np.sum(np.asarray(mu.head(K, n + 1), dtype=np.longdouble) / ks))
+    rem = weighted_tail_sum(mu, K - 1)
+    assert max(b.lo, brute + rem.lo) <= min(b.hi, brute + rem.hi) * (1 + 1e-15)
+
+
 # ---------------------------------------------------------------------------
 # harmonic numbers
 

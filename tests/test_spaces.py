@@ -387,6 +387,33 @@ def test_tail_starts_stay_below_the_cap_far_from_scale_one(monkeypatch, case):
     assert starts and max(starts) < TAIL_CAP
 
 
+def test_log1p_norm_of_a_power_log_input_chooses_one_tail_start(monkeypatch):
+    # the shift-2 correction is bracketed at the start chosen on the shift-1 series
+    calls = []
+    choose = brackets.choose_tail_start
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("shift_power"))
+        return choose(*args, **kwargs)
+
+    for module in (brackets, spaces):
+        monkeypatch.setattr(module, "choose_tail_start", spy)
+    for alpha, beta, scale in ((1.0, 0.0, 1.0), (1.5, 1.0, 0.37), (2.0, 2.0, 3.0), (1.2, 4.0, 1.0)):
+        calls.clear()
+        nv = lorentz_phi_norm(power_log(alpha, beta, scale), LOG1P)
+        assert calls == [1.0] and nv.tail_halfwidth <= TAIL_TOL * scale
+
+
+@pytest.mark.parametrize("spec", [LLOG, SpaceSpec("lorentz_phi", phi=LOG1P),
+                                  SpaceSpec("lorentz_phi", phi=PhiTemplate("power", 0.5))])
+def test_summed_norm_of_an_entry_near_the_largest_double_is_finite(spec):
+    # the first weight of each is at most 1: the value is a double, and a
+    # zero-width bracket keeps it as it stands (0.5 * (v + v) would overflow)
+    nv = space_norm(spec, finite([1.5e308]))
+    weight = math.log(2.0) if spec.phi is LOG1P else 1.0
+    assert nv.value == 1.5e308 * weight and nv.tail_halfwidth == 0.0
+
+
 # ---------------------------------------------------------------------------
 # divergence and infinities
 
