@@ -7,7 +7,10 @@ this script in each and diffing the two files.  Every float is written with
 its bytes, so any moved bit shows up as a changed line.  A call that raises
 records the exception class instead of a value.
 
-Covered: `space_norm` (10 spaces, 64 power-log profiles at windows 16 and
+Covered: the harmonic witness (SHA-256 of `harmonic_numbers(2^20)` and of
+the image `harmonic_calderon_closed_form` on [0, 2^16), read index by
+index so the script also runs where it takes scalars only, and
+`repr(harmonic_number(10**7))`), `space_norm` (10 spaces, 64 power-log profiles at windows 16 and
 65536, 6 finite inputs), `weighted_tail_sum` (both signs of scale, profiles
 and their rearrangements), `calderon`, `weak_l1_membership`,
 `ratio_profile_sup` (360 arguments), the JSON of `f_norm_upper` (5 spaces,
@@ -25,7 +28,7 @@ and the weak-l1 `f_norm_upper` on 3000 entries of 1e300 and of 1e305, the
 power-log profiles of the `fnorm_mix` workload at negative scales (-1 and
 -0.37) in membership and in `f_norm_upper` over their workload spaces, and
 `f_norm_upper` over lorentz:log1p on [1e308], over m1inf on [1e307]*3, over
-lp:2 on [1e200] and over the four catalog spaces on [1e308]*3, where
+lp:2 on [1e200] and over all five fnorm spaces on [1e308]*3, where
 power-log witnesses are scaled near the double range.
 
 Sums whose decay exponent lies in (1, 2) are left out: there the explicit
@@ -47,8 +50,10 @@ import numpy as np
 
 from calderon.brackets import ratio_profile_sup
 from calderon.operators import calderon
-from calderon.optimal_range import GridConfig, check_domination, f_norm_upper, weak_l1_membership
-from calderon.sequences import decreasing_rearrangement, finite, power_log, weighted_tail_sum
+from calderon.optimal_range import (
+    GridConfig, check_domination, f_norm_upper, harmonic_calderon_closed_form, weak_l1_membership,
+)
+from calderon.sequences import decreasing_rearrangement, finite, harmonic_number, harmonic_numbers, power_log, weighted_tail_sum
 from calderon.spaces import LLOG, LOG1P, M1INF, SUM_SPACE, WEAK_L1, PhiTemplate, SpaceSpec, lp_space, space_norm
 
 ALPHAS = (0.6, 0.8, 1.0, 1.1, 1.5, 2.0, 2.5, 3.0)
@@ -172,6 +177,11 @@ def main() -> int:
     args = ap.parse_args()
 
     out: dict = {}
+    # the harmonic witness: H_m read by array and by index, and S a read by index
+    out["harmonic/numbers/2^20"] = digest(harmonic_numbers(1 << 20))
+    out["harmonic/number/10^7"] = repr(harmonic_number(10**7))
+    out["harmonic/image/2^16"] = digest(np.array([harmonic_calderon_closed_form(n) for n in range(1 << 16)]))
+
     fins = finite_inputs()
     for spec in SPACES:
         for a, b, s in PROFILES:
@@ -270,7 +280,7 @@ def main() -> int:
             for E in FNORM_SPACES if (a, b) in IN_RANGE else (WEAK_L1,):
                 record(out, f"fnorm/{E.label}/pl({a},{b},{s})", lambda: fnorm_json(x, E))
     near_max = [(FNORM_SPACES[3], [1e308]), (M1INF, [1e307] * 3), (FNORM_SPACES[2], [1e200])]
-    near_max += [(E, [1e308] * 3) for E in FNORM_SPACES[1:]]
+    near_max += [(E, [1e308] * 3) for E in FNORM_SPACES]
     for E, values in near_max:
         record(out, f"fnorm/{E.label}/{values[0]:g}x{len(values)}", lambda: fnorm_json(finite(values), E))
 

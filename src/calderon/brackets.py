@@ -218,8 +218,11 @@ def ratio_profile_sup(a: float, b: float, start: int, scale: float = 1.0) -> flo
     """Certified sup over integer t >= start of scale * log(t+2)**b * (t+1)**(-a).
 
     Finite exactly when a > 0, or a == 0 with b <= 0.  The profile is
-    nondecreasing then nonincreasing with real peak at t* = exp(b/a) - 2, so
-    the discrete sup sits at start or at the integers flanking t*.
+    nondecreasing then nonincreasing: its log derivative has the sign of
+    g(t) = b(t+1) - a(t+2)log(t+2), which is concave with g(-1) = 0 and
+    g(exp(b/a) - 2) = -b < 0, so the real peak is the root of g bisected on
+    (-1, exp(b/a) - 2), and the discrete sup sits at start or at the
+    integers flanking that root.
     """
     if scale == 0.0:
         return 0.0
@@ -238,7 +241,13 @@ def ratio_profile_sup(a: float, b: float, start: int, scale: float = 1.0) -> flo
         log_peak = math.log(scale) + b * math.log(log_tstar) - a * log_tstar
         # (t+1)**-a at the peak: t+2 = e^{b/a}, and (t+1) >= (t+2)/2 there
         return math.exp(log_peak) * 2.0 ** a
-    tstar = math.exp(log_tstar) - 2.0
-    lo = max(start, math.floor(tstar))
-    cands = [float(start), float(lo), float(lo + 1), float(lo + 2)]
-    return max(psi(t) for t in cands if t >= start)
+    lo, hi = -1.0, math.exp(log_tstar) - 2.0
+    while hi - lo > 1.0:
+        mid = 0.5 * (lo + hi)
+        if b * (mid + 1.0) > a * (mid + 2.0) * math.log(mid + 2.0):
+            lo = mid
+        else:
+            hi = mid
+    # the root lies in [lo, lo + 1], so the integer peak lies in [floor(lo), floor(lo) + 2]
+    first = max(start, math.floor(lo))
+    return max(psi(float(t)) for t in (start, first, first + 1, first + 2))

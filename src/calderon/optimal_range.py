@@ -8,7 +8,8 @@ For E = weak-l1 the harmonic witness c*(x) a, a(k) = 1/(k+1), attains it:
     f(x) = c*(x) = sup_n mu(n, x) (n+1) / (H_{n+1} + 1),
 
 since a decreasing y with |y|_weak = t lies below t a, S is positive and
-(S a)(n) = (H_{n+1}+1)/(n+1), so mu(x) <= S y forces t >= c*(x).  Other
+(S a)(n) = (H_{n+1}+1)/(n+1), so mu(x) <= S y forces t >= c*(x).  That
+image is `harmonic_calderon_closed_form`, read at an index or an index array.  Other
 spaces search witness shapes (mu(x), its truncations, power-log generators),
 each at its minimal admissible scale, for a certified upper bound.  Every
 E is a symmetric quasi-norm, so |c g|_E = c |g|_E: a power-log shape g at
@@ -54,7 +55,6 @@ from .sequences import (
     decreasing_rearrangement,
     finite,
     harmonic_number,
-    harmonic_numbers,
     power_log,
     sequence_to_json,
 )
@@ -158,10 +158,10 @@ class GridConfig:
 DEFAULT_GRID = GridConfig()
 
 
-def harmonic_calderon_closed_form(n: int) -> float:
-    """(S mu(a))(n) for the harmonic profile mu(k, a) = 1/(k+1): the head
-    averages to H_{n+1}/(n+1) and the tail telescopes to 1/(n+1)."""
-    if n < 0:
+def harmonic_calderon_closed_form(n):
+    """(S mu(a))(n) for mu(k, a) = 1/(k+1) at an index or an index array: the
+    head averages to H_{n+1}/(n+1) and the tail telescopes to 1/(n+1)."""
+    if np.any(n < 0):
         raise ValueError("index must be nonnegative")
     return (harmonic_number(n + 1) + 1.0) / (n + 1.0)
 
@@ -169,7 +169,7 @@ def harmonic_calderon_closed_form(n: int) -> float:
 @lru_cache(maxsize=8)
 def _harmonic_calderon_window(window: int) -> np.ndarray:
     """(S mu(a)) on [0, window), built once per window and read-only."""
-    img = (harmonic_numbers(window) + 1.0) / (np.arange(1, window + 1, dtype=np.float64))
+    img = harmonic_calderon_closed_form(np.arange(window))
     img.setflags(write=False)
     return img
 
@@ -351,7 +351,16 @@ def f_norm_upper(
     error is accompanied by the certified divergence of c_a(x) (x is then
     genuinely outside F), otherwise the search is merely inconclusive.
     """
-    member = weak_l1_membership(x, search.window) if E.kind == "weak_l1" else None
+    member = floor = None
+    if E.kind == "weak_l1":
+        # the floor lies below f, so it is a double wherever f is; c_a itself
+        # may exceed the double range by up to 2/log 2, and is then read at x/4
+        try:
+            member = weak_l1_membership(x, search.window)
+            floor = member.c_a * LOG2 / 2.0
+        except OverflowError:
+            member = weak_l1_membership(_scaled_shape(x, 0.25), search.window)
+            floor = member.c_a * (2.0 * LOG2)
     if member is not None and not member.member:
         # certified before any head resolution: no witness can dominate x
         raise NoWitnessFoundError(
@@ -409,7 +418,7 @@ def f_norm_upper(
         )
     upper, y = best
     cert = check_domination(mu_x, y, window)
-    lower = None if member is None else min(member.c_a * LOG2 / 2.0, upper)
+    lower = None if member is None else min(floor, upper)
     return FNormEstimate(upper, lower, cert)
 
 

@@ -15,6 +15,7 @@ The decreasing rearrangement mu(x) lists |x(k)| in nonincreasing order.  For
 the power-log family the profile is nondecreasing then nonincreasing, so
 beyond a computable index the rearrangement coincides with the profile
 itself; a Rearrangement stores the sorted head and that analytic tail.
+H_m has one formula, read at an index or an index array by `harmonic_number`.
 """
 
 from __future__ import annotations
@@ -452,36 +453,34 @@ def weighted_tail_sum(x: Union[Sequence, Rearrangement], n: int) -> Bracket:
 
 
 @cache
-def _harmonic_table() -> tuple:
+def _harmonic_table() -> np.ndarray:
     """(H_0, ..., H_4096): the exact sums of the doubles 1/j rounded once,
     which is what math.fsum returns."""
     from fractions import Fraction
     from itertools import accumulate
 
     terms = (Fraction(1.0 / j) for j in range(1, 4097))
-    return tuple(float(h) for h in accumulate(terms, initial=Fraction(0)))
+    return np.array([float(h) for h in accumulate(terms, initial=Fraction(0))])
 
 
-def harmonic_number(m: int) -> float:
-    """H_m = sum_{j=1}^m 1/j; asymptotic expansion beyond 4096 terms
-    (remainder below 1/(252 m**6), far under double precision there)."""
-    if m < 0:
+def harmonic_number(m):
+    """H_m = sum_{j=1}^m 1/j at an index (a float) or an index array (an
+    array): the table up to 4096, the asymptotic expansion beyond (remainder
+    below 1/(252 m**6), far under double precision there) with math.log
+    taken per entry."""
+    ms = np.asarray(m, dtype=np.int64)
+    if np.any(ms < 0):
         raise ValueError("harmonic numbers need m >= 0")
-    if m <= 4096:
-        return _harmonic_table()[m]
-    fm = float(m)
-    return (
-        math.log(fm)
-        + EULER_GAMMA
-        + 1.0 / (2.0 * fm)
-        - 1.0 / (12.0 * fm ** 2)
-        + 1.0 / (120.0 * fm ** 4)
-    )
+    h = np.array(_harmonic_table()[np.minimum(ms, 4096)])  # an array also where m is 0-d
+    fm = ms[ms > 4096].astype(np.float64)
+    log = np.fromiter(map(math.log, fm.tolist()), np.float64, fm.size)
+    h[ms > 4096] = log + EULER_GAMMA + 1.0 / (2.0 * fm) - 1.0 / (12.0 * fm ** 2) + 1.0 / (120.0 * fm ** 4)
+    return h if ms.ndim else float(h)
 
 
 def harmonic_numbers(count: int) -> np.ndarray:
-    """Array [H_1, ..., H_count], entry m - 1 equal to harmonic_number(m)."""
-    return np.array([harmonic_number(m) for m in range(1, count + 1)], dtype=np.float64)
+    """Array [H_1, ..., H_count]."""
+    return harmonic_number(np.arange(1, count + 1))
 
 
 # ---------------------------------------------------------------------------

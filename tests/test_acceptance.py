@@ -61,17 +61,12 @@ def test_criterion_01_anchor_values_of_the_averaged_profile():
 
 def test_criterion_02_closed_form_envelope_and_prefix_agreement():
     t0 = time.monotonic()
-    worst_lo, worst_hi = math.inf, 0.0
-    envelope_ok = True
-    for n in (10**2, 10**3, 10**4, 10**6):
-        ratio = harmonic_calderon_closed_form(n) * (n + 1.0) / math.log(n + 1.0)
-        bound = 1.0 + 1.8 / math.log(n + 1.0)
-        worst_lo = min(worst_lo, ratio)
-        worst_hi = max(worst_hi, ratio / bound)
-        envelope_ok &= 1.0 <= ratio <= bound
+    ns = np.array([10**2, 10**3, 10**4, 10**6])
+    ratio = harmonic_calderon_closed_form(ns) * (ns + 1.0) / np.log(ns + 1.0)
+    envelope_ok = bool(np.all((1.0 <= ratio) & (ratio <= 1.0 + 1.8 / np.log(ns + 1.0))))
     W = 10**5
     prefix = calderon(power_log(1.0, 0.0), W).window_values
-    closed = np.array([harmonic_calderon_closed_form(n) for n in range(W)])
+    closed = harmonic_calderon_closed_form(np.arange(W))
     dev = float(np.max(np.abs(prefix - closed)))
     elapsed = time.monotonic() - t0
     ok = envelope_ok and dev <= 1e-10 and elapsed < 10.0

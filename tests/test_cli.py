@@ -183,11 +183,11 @@ def test_norm_lp_of_values_near_the_largest_double(capsys, big_file):
 
 @pytest.mark.parametrize(
     "argv",
-    [["optrange", "fnorm"], ["optrange", "member-weakl1"], ["norm", "--space", "weak_l1"]],
+    [["norm", "--space", "m1inf"], ["optrange", "member-weakl1"], ["norm", "--space", "weak_l1"]],
 )
 def test_finite_value_beyond_the_double_range_exits_one(capsys, big_file, argv):
-    # c_a = 3e308/log 4 and |x|_weak = 3e308 are finite but not doubles;
-    # "Infinity" would claim divergence
+    # |x|_m1inf = c_a = 3e308/log 4 and |x|_weak = 3e308 are finite but not
+    # doubles; "Infinity" would claim divergence
     code = cli.main(argv + ["--in", big_file])
     captured = capsys.readouterr()
     assert code == 1
@@ -195,23 +195,12 @@ def test_finite_value_beyond_the_double_range_exits_one(capsys, big_file, argv):
     assert "exceeds the double range" in captured.err and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("space", ["weak_l1"])
-def test_fnorm_beyond_the_double_range_exits_one_in_every_space(capsys, big_file, space):
-    # over weak-l1, c_a of [1e308]*3 is 3e308/log 4, not a double: an
-    # uncertifiable result, not a usage error.  The catalog spaces certify a
-    # power-log witness (next test)
-    code = cli.main(["optrange", "fnorm", "--space", space, "--in", big_file])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "could not certify" in captured.err and "Traceback" not in captured.err
-
-
 NEAR_MAX_UPPER = {
     "llog": 1.6986551871026354e+308,
     "m1inf": 1.4321360122635143e+308,
     "lp:2": 1.3286640072373074e+308,
     "lorentz:log1p": 1.3039757928850752e+308,
+    "weak_l1": 1.0588235294117649e+308,  # c* = 3e308/(H_3 + 1), the harmonic witness
 }
 
 
@@ -224,6 +213,9 @@ def test_fnorm_of_values_near_the_largest_double_certifies_a_power_log_witness(c
     assert doc["upper"] == NEAR_MAX_UPPER[space]
     assert doc["witness"]["y"]["kind"] == "power_log"
     assert doc["witness"]["window_verified"] and doc["witness"]["tail_ok"]
+    if space == "weak_l1":
+        # the floor c_a log 2 / 2 = (3e308/log 4) log 2 / 2 is a double though c_a is not
+        assert doc["lower"] == 7.5e307
     if space == "lorentz:log1p":
         assert doc["upper"] < 1e308 * math.log(4.0)  # the finite witness mu(x)
 

@@ -9,7 +9,11 @@ numpy only.
 
 Every series over a rearrangement is read through `sequences.series`, the one
 caller of `brackets.tail_sum`; only the two tails with their own target (the
-m1inf mass and the log1p split) choose a start themselves."""
+m1inf mass and the log1p split) choose a start themselves.
+
+The harmonic witness is written once: only `sequences` holds the H_m formula
+(the one user of Euler's constant), and H_m and the image S a are read on
+index arrays, never index by index in a loop or comprehension."""
 
 import ast
 import json
@@ -29,6 +33,8 @@ CASE_BUILDERS = {"report", "suites"}
 SCIPY_USERS = {("brackets", "powerlog_tail")}
 TAIL_SUM_CALLERS = {("sequences", "series")}
 TAIL_START_CHOOSERS = {("brackets", "tail_sum"), ("spaces", "marcinkiewicz_norm"), ("spaces", "lorentz_phi_norm")}
+HARMONIC_FORMULAS = {"harmonic_number", "harmonic_calderon_closed_form"}
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def _modules():
@@ -209,15 +215,20 @@ def _callers(tree, name: str) -> set:
     return found
 
 
+def _names(tree) -> set:
+    """Every name the tree defines, reads, binds, imports or takes as an attribute."""
+    return {n.name.rsplit(".", 1)[-1] if isinstance(n, ast.alias)
+            else getattr(n, "name", None) or getattr(n, "id", None) or getattr(n, "attr", None)
+            for n in ast.walk(tree)}
+
+
 def test_tail_rules_are_called_only_where_the_reading_policy_allows():
     modules = _modules()
     tail_sum = {(m, f) for m, tree in modules for f in _callers(tree, "tail_sum")}
     assert tail_sum == TAIL_SUM_CALLERS
     choose = {(m, f) for m, tree in modules for f in _callers(tree, "choose_tail_start")}
     assert choose == TAIL_START_CHOOSERS
-    names = {getattr(n, "name", None) or getattr(n, "id", None) or getattr(n, "attr", None)
-             for _, tree in modules for n in ast.walk(tree)}
-    assert "_mu_head" not in names
+    assert all("_mu_head" not in _names(tree) for _, tree in modules)
 
 
 def test_caller_detector_sees_plain_attribute_and_nested_calls():
@@ -225,3 +236,36 @@ def test_caller_detector_sees_plain_attribute_and_nested_calls():
                      "def h():\n    tail_sum(2)\ntail_sum(3)\n")
     assert _callers(tree, "tail_sum") == {"f", "h", None}
     assert not _callers(ast.parse("tail_sums(1)\nx = tail_sum\n"), "tail_sum")
+
+
+
+
+def _looped_calls(tree, names: set) -> list:
+    """The line of every call of one of `names` inside a loop or a comprehension."""
+    found = set()
+    for loop in ast.walk(tree):
+        if isinstance(loop, LOOPS):
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in names:
+                        found.add(node.lineno)
+    return sorted(found)
+
+
+def test_harmonic_witness_is_written_once_and_read_on_index_arrays():
+    modules = _modules()
+    assert {m for m, tree in modules if "EULER_GAMMA" in _names(tree)} == {"sequences"}
+    looped = {m: lines for m, tree in modules if (lines := _looped_calls(tree, HARMONIC_FORMULAS))}
+    assert not looped, looped
+
+
+def test_loop_detector_sees_loops_and_comprehensions():
+    for src in ("for n in ns:\n    h = harmonic_number(n)\n",
+                "while True:\n    optimal_range.harmonic_calderon_closed_form(3)\n",
+                "x = [harmonic_number(m) for m in ms]\n", "x = all(harmonic_number(m) > 0 for m in ms)\n",
+                "x = {m: harmonic_number(m) for m in ms}\n"):
+        assert _looped_calls(ast.parse(src), HARMONIC_FORMULAS), src
+    assert not _looped_calls(ast.parse("h = harmonic_number(np.arange(5))\n"), HARMONIC_FORMULAS)
+    assert "EULER_GAMMA" in _names(ast.parse("from .sequences import EULER_GAMMA\n"))
+    assert "EULER_GAMMA" in _names(ast.parse("x = sequences.EULER_GAMMA\n"))

@@ -1,12 +1,16 @@
+import functools
+import itertools
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from calderon.brackets import powerlog_profile
+from calderon.optimal_range import harmonic_calderon_closed_form
 from calderon.sequences import (
     EULER_GAMMA,
     DomainMismatchError,
@@ -307,9 +311,40 @@ def test_harmonic_numbers_match_fsum():
         assert hs[m - 1] == pytest.approx(exact, abs=1e-13)
 
 
+@functools.cache
+def _reference_harmonic_table() -> tuple:
+    terms = (Fraction(1.0 / j) for j in range(1, 4097))
+    return tuple(float(h) for h in itertools.accumulate(terms, initial=Fraction(0)))
+
+
+def _reference_harmonic(m: int) -> float:
+    """H_m by the scalar formula, written out here: the exact sums of the
+    doubles 1/j up to 4096, the asymptotic expansion with math.log beyond."""
+    if m <= 4096:
+        return _reference_harmonic_table()[m]
+    fm = float(m)
+    return (math.log(fm) + 0.5772156649015328606065120900824024 + 1.0 / (2.0 * fm)
+            - 1.0 / (12.0 * fm ** 2) + 1.0 / (120.0 * fm ** 4))
+
+
 def test_harmonic_numbers_equal_harmonic_number_bitwise():
-    hs = harmonic_numbers(65536)
-    assert all(hs[m - 1] == harmonic_number(m) for m in range(1, 65537))
+    # both read one formula; it must reproduce the scalar reference bit for bit
+    count = 1 << 20
+    reference = np.array([_reference_harmonic(m) for m in range(1, count + 1)])
+    hs = harmonic_numbers(count)
+    assert hs.tobytes() == reference.tobytes()
+    for m in (0, 1, 4096, 4097, 65536, count, 10**7):
+        assert harmonic_number(m) == _reference_harmonic(m), m
+    assert harmonic_number(np.arange(1, 4098)).tobytes() == reference[:4097].tobytes()
+
+
+def test_harmonic_image_array_equals_the_reference_closed_form_bitwise():
+    n = np.arange(1 << 16)
+    reference = np.array([(_reference_harmonic(k + 1) + 1.0) / (k + 1.0) for k in range(1 << 16)])
+    assert harmonic_calderon_closed_form(n).tobytes() == reference.tobytes()
+    assert harmonic_calderon_closed_form(70000) == (_reference_harmonic(70001) + 1.0) / 70001.0
+    with pytest.raises(ValueError):
+        harmonic_calderon_closed_form(np.array([3, -1]))
 
 
 def test_harmonic_number_equals_fsum_up_to_4096():
