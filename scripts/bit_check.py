@@ -23,7 +23,11 @@ grid window 2^10 in all five spaces, which are certified on their whole
 support), `weak_l1_membership` of finite supports longer than its window
 (3000 normal entries at window 16, 70000 ones at the default), and the
 `check_domination` verdicts of those wide finite inputs against their own
-weak-l1 witness scaled by 1 and 0.999.  Magnitude edges: `weak_l1_membership`
+weak-l1 witness scaled by 1 and 0.999, and the `check_domination`
+verdicts of short normal supports (1, 2, 31 and 1000 entries) against the
+four non-harmonic power-log generators at their minimal scale c (recorded
+too) times 1 and 0.999, the re-check that reads its image on the support of
+a finite x.  Magnitude edges: `weak_l1_membership`
 and the weak-l1 `f_norm_upper` on 3000 entries of 1e300 and of 1e305, the
 power-log profiles of the `fnorm_mix` workload at negative scales (-1 and
 -0.37) in membership and in `f_norm_upper` over their workload spaces, and
@@ -51,7 +55,8 @@ import numpy as np
 from calderon.brackets import ratio_profile_sup
 from calderon.operators import calderon
 from calderon.optimal_range import (
-    GridConfig, check_domination, f_norm_upper, harmonic_calderon_closed_form, weak_l1_membership,
+    GENERATORS, GridConfig, _candidate_scale, check_domination, f_norm_upper, harmonic_calderon_closed_form,
+    weak_l1_membership,
 )
 from calderon.sequences import decreasing_rearrangement, finite, harmonic_number, harmonic_numbers, power_log, weighted_tail_sum
 from calderon.spaces import LLOG, LOG1P, M1INF, SUM_SPACE, WEAK_L1, PhiTemplate, SpaceSpec, lp_space, space_norm
@@ -266,6 +271,16 @@ def main() -> int:
                 record(out, f"domination/{name}/y*{factor}",
                        lambda: domination_doc(check_domination(x, power_log(y.alpha, y.beta, factor * y.scale),
                                                                1 << 14)))
+
+    rng = np.random.default_rng(97)
+    for n in (1, 2, 31, 1000):
+        x = finite(rng.standard_normal(n))
+        for a, b in GENERATORS:
+            c, _ = _candidate_scale(decreasing_rearrangement(x), power_log(a, b), 1 << 14)
+            out[f"scale/normal{n}/pl({a},{b})"] = repr(c)
+            for factor in (1.0, 0.999):
+                record(out, f"domination/normal{n}/pl({a},{b})*{factor}",
+                       lambda: domination_doc(check_domination(x, power_log(a, b, factor * c), 1 << 14)))
 
     def fnorm_json(x, E):
         return json.dumps(f_norm_upper(x, E).to_json_dict(), sort_keys=True)

@@ -22,8 +22,9 @@ One test, `_domination`, decides mu(x) <= S mu(y) for the search (against the
 lower end of S mu(y), which certifies the scale) and for the re-check
 (against the upper end, which refutes only beyond the bracket).  It checks an
 explicit window and closes the tail by an analytic argument.  A finite x is
-read whole: its window is at least its support, so nothing is left beyond.
-The window bounds analytic heads only, and a power-log tail is closed by a
+read whole: its certificate window is at least its support, and S mu(y) is
+read on the support alone, since past it the test is 0 <= S mu(y).  The
+window bounds analytic heads only, and a power-log tail is closed by a
 certified ratio bound (the harmonic witness uses (S mu(a))(n) =
 (H_{n+1}+1)/(n+1) > log(n+2)/(n+1); general witnesses use the partial-sum
 lower bound S mu(y)(n) >= P_y(W)/(n+1) for n >= W).
@@ -204,15 +205,22 @@ def weak_l1_membership(x: MuLike, window: int = 1 << 14) -> MembershipResult:
 # certificates
 
 
+def _domination_length(mu_x: Rearrangement, window: int) -> int:
+    """Length of the explicit test of mu(x) <= S mu(y): the window of an
+    analytic mu(x), else its support (past it the test is 0 <= S mu(y)), and
+    1 for the empty x, so that every image has an entry."""
+    return max(len(mu_x.values), 1) if mu_x.tail.is_zero else window
+
+
 def _domination(
     mu_x: Rearrangement, y: MuLike, image: np.ndarray, window: int
 ) -> tuple[np.ndarray, float, str]:
     """The one test of mu(x) <= S mu(y).  image is one end of the bracket of
-    S mu(y) on [0, window), and the window covers the support of a finite
-    mu_x.  Returns the window ratios mu_x(n) / image(n) (0 where mu_x(n) =
-    0), a certified sup of mu_x(n) / (S mu(y))(n) over n >= window (inf when
-    no rule certifies one) and the tail argument used."""
-    lhs = mu_x.head(window)  # zero past a finite support
+    S mu(y) on [0, window), window = `_domination_length`.  Returns the window
+    ratios mu_x(n) / image(n) (0 where mu_x(n) = 0), a certified sup of
+    mu_x(n) / (S mu(y))(n) over n >= window (inf when no rule certifies one)
+    and the tail argument used."""
+    lhs = mu_x.head(window)  # one zero for the empty x
     # a ratio beyond the double range reads inf: no double scale certifies it
     with np.errstate(divide="ignore", over="ignore"):
         ratios = np.divide(lhs, image, out=np.zeros(window), where=lhs > 0)
@@ -235,16 +243,19 @@ def _domination(
 def check_domination(x: MuLike, y: MuLike, window: int) -> DominationCertificate:
     """Re-verify mu(x) <= S mu(y) from an independent `calderon` evaluation of
     S mu(y), on the window or, for a finite x, on its whole support if that
-    is longer.  The test reads the upper end of that bracket, values plus
-    half-widths, and passes iff every window ratio and the tail sup are at
-    most 1 + DOMINATION_TOL: the slack is purely relative, so it refutes a
-    witness only beyond its own recomputed bracket."""
+    is longer.  For a finite x that image is computed on the support only:
+    beyond it the test is 0 <= S mu(y), which holds.  The test reads the
+    upper end of the bracket, values plus half-widths, and passes iff every
+    window ratio and the tail sup are at most 1 + DOMINATION_TOL: the slack
+    is purely relative, so it refutes a witness only beyond its own
+    recomputed bracket."""
     mu_x = decreasing_rearrangement(x)
     window = mu_x.read_window(window)
+    n = _domination_length(mu_x, window)
     with np.errstate(over="ignore"):  # an image entry that rounds to inf: see _candidate_scale
-        s = calderon(decreasing_rearrangement(y), window)
+        s = calderon(decreasing_rearrangement(y), n)
     ratios, tail_sup, tail_argument = _domination(
-        mu_x, y, s.window_values + s.tail_halfwidth_per_index, window
+        mu_x, y, s.window_values + s.tail_halfwidth_per_index, n
     )
     bad = np.nonzero(ratios > 1.0 + DOMINATION_TOL)[0]
     return DominationCertificate(
@@ -280,25 +291,30 @@ def _candidate_scale(
     together with the tail argument used.  The scale is certified from the
     lower end of S mu(shape): the cached closed form for the harmonic shape,
     the cached `calderon` lower end for the other power-log shapes, else
-    `calderon` values minus half-widths.  Returns (inf, reason) when the
-    shape cannot dominate any scaling of x."""
+    `calderon` values minus half-widths.  For a finite x it is read on the
+    support only: past it mu(x) = 0, and every c passes.  Returns (inf,
+    reason) when the shape cannot dominate any scaling of x, (0, reason)
+    when the scale underflows."""
+    n = _domination_length(mu_x, window)
     if isinstance(shape, PowerLogSequence) and shape.is_harmonic:
-        s_lo = shape.scale * _harmonic_calderon_window(window)
+        s_lo = shape.scale * _harmonic_calderon_window(window)[:n]
     else:
         if isinstance(shape, PowerLogSequence):
-            s_lo = _shape_calderon_floor(shape, window)
+            s_lo = _shape_calderon_floor(shape, window)[:n]
         else:
             # An image entry that rounds to inf is sound: the true S value lies
             # above the double range, hence above the double mu(x)(n).
             with np.errstate(over="ignore"):
-                out = calderon(decreasing_rearrangement(shape), window)
+                out = calderon(decreasing_rearrangement(shape), n)
             s_lo = out.window_values - out.tail_halfwidth_per_index
         if float(np.min(s_lo)) <= 0.0:
             return math.inf, "witness image not positive on window"
-    ratios, tail_sup, tail_argument = _domination(mu_x, shape, s_lo, window)
+    ratios, tail_sup, tail_argument = _domination(mu_x, shape, s_lo, n)
     if math.isinf(tail_sup):
         return math.inf, "no analytic tail rule certifies this witness shape"
     c = max(float(np.max(ratios)), tail_sup)
+    if c == 0.0:
+        return c, "witness scale underflows"
     return (c, tail_argument) if c < math.inf else (c, "witness scale exceeds the double range")
 
 
@@ -344,8 +360,8 @@ def f_norm_upper(
     underflows to 0 is skipped.  The first minimum wins, so ties go to the
     earlier shape.
 
-    Candidates are checked on the grid window, or on the whole support of a
-    longer finite x; power-log unit norms are read at the grid window.
+    Candidates are checked on the grid window, or on the support of a
+    finite x; power-log unit norms are read at the grid window.
 
     Raises NoWitnessFoundError when no shape certifies; for E = weak-l1 the
     error is accompanied by the certified divergence of c_a(x) (x is then

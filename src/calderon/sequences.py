@@ -455,12 +455,15 @@ def weighted_tail_sum(x: Union[Sequence, Rearrangement], n: int) -> Bracket:
 @cache
 def _harmonic_table() -> np.ndarray:
     """(H_0, ..., H_4096): the exact sums of the doubles 1/j rounded once,
-    which is what math.fsum returns."""
-    from fractions import Fraction
-    from itertools import accumulate
-
-    terms = (Fraction(1.0 / j) for j in range(1, 4097))
-    return np.array([float(h) for h in accumulate(terms, initial=Fraction(0))])
+    which is what math.fsum returns.  Each double 1/j is n/d with d a power
+    of two at most 2^65, so the sums are exact integers in units of 2^-80,
+    and int-to-float conversion rounds them once."""
+    total, table = 0, [0.0]
+    for j in range(1, 4097):
+        n, d = (1.0 / j).as_integer_ratio()
+        total += n * ((1 << 80) // d)
+        table.append(math.ldexp(float(total), -80))
+    return np.array(table)
 
 
 def harmonic_number(m):

@@ -365,6 +365,16 @@ def test_fnorm_non_member_exits_one(capsys, log_sq_profile_file):
     assert "no witness exists" in doc["error"]
 
 
+def test_fnorm_of_the_least_subnormal_names_the_underflowing_scale(capsys, tmp_path):
+    # c* of [5e-324] is 5e-324/2, which rounds to 0: no double scales the
+    # harmonic witness, and the reason says so instead of naming the tail rule
+    p = tmp_path / "least.json"
+    p.write_text(json.dumps({"kind": "finite", "domain": "half_line", "offset": 0, "values": [5e-324]}))
+    code, doc = run_json(capsys, ["optrange", "fnorm", "--in", str(p)])
+    assert code == 1
+    assert doc["error"] == "no candidate witness certifies (inconclusive): ['witness scale underflows']"
+
+
 def test_member_weakl1(capsys, harmonic_file, log_sq_profile_file):
     code, doc = run_json(capsys, ["optrange", "member-weakl1", "--in", harmonic_file])
     assert code == 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from calderon.families import family_rng, generate_family
 from calderon.optimal_range import (
     DEFAULT_GRID,
+    DOMINATION_TOL,
     GENERATORS,
     LOG2,
     TAIL_ANALYTIC,
@@ -163,6 +164,79 @@ def test_certificate_reverifies_from_scratch():
     again = check_domination(w.x, w.y, w.window)
     assert again.verified
     assert again.tail_argument == w.tail_argument
+
+
+# finite supports of 0..64 entries and one longer than the default grid
+# window, magnitudes 1e-6..1e6, drawn from a seeded generator
+finite_supports = st.builds(
+    lambda n, seed: finite(np.random.default_rng(seed).choice([-1.0, 1.0], n)
+                           * 10.0 ** np.random.default_rng(seed + 1).uniform(-6.0, 6.0, n)),
+    st.one_of(st.integers(0, 64), st.just((1 << 14) + 3)),
+    st.integers(0, 2**32),
+)
+
+
+def _full_window_verdict(mu_x, upper):
+    """(window_verified, first_violation) of mu(x) <= S mu(y) read on the
+    whole image `upper`, past the support of a finite x too."""
+    lhs = mu_x.head(len(upper))
+    with np.errstate(divide="ignore", over="ignore"):
+        ratios = np.divide(lhs, upper, out=np.zeros(len(upper)), where=lhs > 0)
+    bad = np.nonzero(ratios > 1.0 + DOMINATION_TOL)[0]
+    return bad.size == 0, (int(bad[0]) if bad.size else None)
+
+
+def _full_window_scale(mu_x, shape, window):
+    """The minimal scale of a shape over a finite x, every image read on the
+    whole certificate window."""
+    if isinstance(shape, PowerLogSequence) and shape.is_harmonic:
+        s_lo = shape.scale * harmonic_calderon_closed_form(np.arange(window))
+    else:
+        with np.errstate(over="ignore"):
+            out = calderon(decreasing_rearrangement(shape), window)
+        s_lo = out.window_values - out.tail_halfwidth_per_index
+        if float(np.min(s_lo)) <= 0.0:
+            return math.inf
+    lhs = mu_x.head(window)
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.max(np.divide(lhs, s_lo, out=np.zeros(window), where=lhs > 0)))
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(finite_supports)
+def test_support_reading_matches_the_full_window_reading(x):
+    # past a finite support mu(x) = 0 <= S mu(y): reading the image on the
+    # support alone gives the full-window scale bit for bit and the same verdicts
+    window = DEFAULT_GRID.window
+    mu_x = decreasing_rearrangement(x)
+    full = mu_x.read_window(window)
+    support = len(mu_x.values)
+    shapes = [power_log(1.0, 0.0)] + [power_log(a, b) for a, b in GENERATORS]
+    shapes += [finite(mu_x.head(min(L, support))) for L in TRUNCATION_LEVELS] + [finite(mu_x.values)]
+    for shape in shapes[1:len(GENERATORS) + 1]:
+        optimal_range._shape_calderon_floor(shape, full)  # x-independent, cached per window
+    seen = []
+
+    def spy(y, n):
+        seen.append(n)
+        return calderon(y, n)
+
+    with mock.patch.object(optimal_range, "calderon", spy):
+        for shape in shapes:
+            c = 1.0  # the empty x: only the re-check reads it
+            if support:
+                c = _candidate_scale(mu_x, shape, full)[0]
+                assert c.hex() == _full_window_scale(mu_x, shape, full).hex(), shape
+                if math.isinf(c) or c == 0.0:
+                    continue
+            for factor in (1.0, 1.0 - 1e-9):
+                y = _scaled_shape(shape, c * factor)
+                cert = check_domination(x, y, window)
+                ref = calderon(decreasing_rearrangement(y), full)
+                expected = _full_window_verdict(mu_x, ref.window_values + ref.tail_halfwidth_per_index)
+                assert cert.window == full and cert.tail_ok
+                assert (cert.window_verified, cert.first_violation) == expected, (shape, factor)
+    assert seen and max(seen) <= max(support, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from calderon.brackets import powerlog_profile
 from calderon.optimal_range import harmonic_calderon_closed_form
 from calderon.sequences import (
     EULER_GAMMA,
+    _harmonic_table,
     DomainMismatchError,
     FiniteSequence,
     HeadResolutionError,
@@ -315,6 +316,13 @@ def test_harmonic_numbers_match_fsum():
 def _reference_harmonic_table() -> tuple:
     terms = (Fraction(1.0 / j) for j in range(1, 4097))
     return tuple(float(h) for h in itertools.accumulate(terms, initial=Fraction(0)))
+
+
+def test_harmonic_table_is_the_exact_fraction_sums_bitwise():
+    # the fixed-point integer sums in units of 2^-80 round once, like Fraction
+    table = _harmonic_table()
+    assert table.shape == (4097,)
+    assert table.tobytes() == np.array(_reference_harmonic_table()).tobytes()
 
 
 def _reference_harmonic(m: int) -> float:
