@@ -33,7 +33,9 @@ power-log profiles of the `fnorm_mix` workload at negative scales (-1 and
 -0.37) in membership and in `f_norm_upper` over their workload spaces, and
 `f_norm_upper` over lorentz:log1p on [1e308], over m1inf on [1e307]*3, over
 lp:2 on [1e200] and over all five fnorm spaces on [1e308]*3, where
-power-log witnesses are scaled near the double range.
+power-log witnesses are scaled near the double range, and the harmonic
+profile at scales 1e307 and 1e308 in the four catalog spaces, where the
+images of the truncations of mu(x) overflow at the head.
 
 Sums whose decay exponent lies in (1, 2) are left out: there the explicit
 sum runs toward the 2^24-term cap and a single call takes seconds.  The
@@ -298,6 +300,9 @@ def main() -> int:
     near_max += [(E, [1e308] * 3) for E in FNORM_SPACES]
     for E, values in near_max:
         record(out, f"fnorm/{E.label}/{values[0]:g}x{len(values)}", lambda: fnorm_json(finite(values), E))
+    for E in FNORM_SPACES[1:]:
+        for s in (1e307, 1e308):
+            record(out, f"fnorm/{E.label}/pl(1,0,{s:g})", lambda: fnorm_json(power_log(1.0, 0.0, s), E))
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)

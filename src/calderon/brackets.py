@@ -71,9 +71,6 @@ class Bracket:
     def shifted(self, t: float) -> "Bracket":
         return Bracket(self.lo + t, self.hi + t)
 
-    def __add__(self, other: "Bracket") -> "Bracket":
-        return Bracket(self.lo + other.lo, self.hi + other.hi)
-
 
 ZERO_BRACKET = Bracket(0.0, 0.0)
 

@@ -321,7 +321,7 @@ def _cmd_fnorm(args) -> int:
         return 1
     with _open_out(args.out) as fh:
         _write_json(fh, est.to_json_dict())
-    return 0
+    return 0 if est.witness.verified else 1  # a refuted witness is printed for replay
 
 
 def _cmd_member(args) -> int:
@@ -396,21 +396,21 @@ _DISPATCH = {
     "verify": _cmd_verify,
     "bench": _cmd_bench,
     "family": _cmd_family,
+    "optrange fnorm": _cmd_fnorm,
+    "optrange member-weakl1": _cmd_member,
+    "optrange verify": _cmd_optrange_verify,
 }
+_JSON_ONLY = {_cmd_family, _cmd_fnorm, _cmd_member}
 
 
 def main(argv: Optional[list] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.command == "optrange":
-            handler = {
-                "fnorm": _cmd_fnorm,
-                "member-weakl1": _cmd_member,
-                "verify": _cmd_optrange_verify,
-            }[args.optrange_command]
-            return handler(args)
-        return _DISPATCH[args.command](args)
+        verb = " ".join(filter(None, (args.command, getattr(args, "optrange_command", None))))
+        if _DISPATCH[verb] in _JSON_ONLY and args.format == "csv":
+            raise UsageError(f"{verb} writes JSON only; --format csv is not supported")
+        return _DISPATCH[verb](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -10,7 +10,8 @@ For E = weak-l1 the harmonic witness c*(x) a, a(k) = 1/(k+1), attains it:
 since a decreasing y with |y|_weak = t lies below t a, S is positive and
 (S a)(n) = (H_{n+1}+1)/(n+1), so mu(x) <= S y forces t >= c*(x).  That
 image is `harmonic_calderon_closed_form`, read at an index or an index array.  Other
-spaces search witness shapes (mu(x), its truncations, power-log generators),
+spaces search finite or power-log witness shapes (generators, truncations of
+mu(x), and mu(x) itself: finite, or the unit profile of an analytic tail),
 each at its minimal admissible scale, for a certified upper bound.  Every
 E is a symmetric quasi-norm, so |c g|_E = c |g|_E: a power-log shape g at
 scale c is priced as c times the upper end of |g|_E, computed once per
@@ -291,10 +292,10 @@ def _candidate_scale(
     together with the tail argument used.  The scale is certified from the
     lower end of S mu(shape): the cached closed form for the harmonic shape,
     the cached `calderon` lower end for the other power-log shapes, else
-    `calderon` values minus half-widths.  For a finite x it is read on the
-    support only: past it mu(x) = 0, and every c passes.  Returns (inf,
-    reason) when the shape cannot dominate any scaling of x, (0, reason)
-    when the scale underflows."""
+    `calderon` values minus half-widths, clamped to the largest double.  For
+    a finite x it is read on the support only: past it mu(x) = 0, and every
+    c passes.  Returns (inf, reason) when the shape cannot dominate any
+    scaling of x, (0, reason) when the scale underflows."""
     n = _domination_length(mu_x, window)
     if isinstance(shape, PowerLogSequence) and shape.is_harmonic:
         s_lo = shape.scale * _harmonic_calderon_window(window)[:n]
@@ -302,11 +303,11 @@ def _candidate_scale(
         if isinstance(shape, PowerLogSequence):
             s_lo = _shape_calderon_floor(shape, window)[:n]
         else:
-            # An image entry that rounds to inf is sound: the true S value lies
-            # above the double range, hence above the double mu(x)(n).
+            # An image entry that rounds to inf stands for a true S value above
+            # the double range: the largest double is a lower end of it.
             with np.errstate(over="ignore"):
                 out = calderon(decreasing_rearrangement(shape), n)
-            s_lo = out.window_values - out.tail_halfwidth_per_index
+            s_lo = np.minimum(out.window_values - out.tail_halfwidth_per_index, np.finfo(float).max)
         if float(np.min(s_lo)) <= 0.0:
             return math.inf, "witness image not positive on window"
     ratios, tail_sup, tail_argument = _domination(mu_x, shape, s_lo, n)
@@ -352,13 +353,18 @@ def f_norm_upper(
     (module docstring); the lower bound there is the certified floor
     c_a(x) log 2 / 2.
 
-    Each shape is priced once, in catalog order: a power-log shape g at
-    scale c costs c times the cached upper end of |g|_E at scale 1 (by
-    homogeneity, |c g|_E = c |g|_E; over weak-l1 the harmonic profile's unit
-    norm is 1, so `upper` is c* itself), a finite shape the upper end of its
-    own E-norm after scaling.  A shape whose norm diverges, overflows or
-    underflows to 0 is skipped.  The first minimum wins, so ties go to the
-    earlier shape.
+    Outside weak-l1 the shapes are, in order, the harmonic profile, the
+    `GENERATORS`, the truncations of mu(x) shorter than its support and
+    mu(x) itself: finite, or the unit profile of an analytic tail (x = s g
+    gives mu(x) = |s| mu(g)) unless that profile is already a shape.  A
+    hand-built tailed `Rearrangement` is searched through its tail's profile.
+
+    Each shape is priced once: a power-log shape g at scale c costs c times
+    the cached upper end of |g|_E at scale 1 (by homogeneity, |c g|_E =
+    c |g|_E; over weak-l1 the harmonic profile's unit norm is 1, so `upper`
+    is c* itself), a finite shape the upper end of its own E-norm after
+    scaling.  A shape whose norm diverges, overflows or underflows to 0 is
+    skipped.  The first minimum wins, so ties go to the earlier shape.
 
     Candidates are checked on the grid window, or on the support of a
     finite x; power-log unit norms are read at the grid window.
@@ -391,18 +397,20 @@ def f_norm_upper(
         )
         return FNormEstimate(0.0, None if member is None else 0.0, cert)
 
-    shapes: list[MuLike] = [power_log(1.0, 0.0)]  # attains f = c* over weak-l1
+    shapes: list[Sequence] = [power_log(1.0, 0.0)]  # attains f = c* over weak-l1
     if E.kind != "weak_l1":
-        # Each distinct shape once: a truncation that reaches the whole finite
-        # support is mu(x) itself, kept as a finite shape so the witness stays one.
         shapes += [power_log(alpha, beta) for alpha, beta in GENERATORS]
-        support = len(mu_x.values) if mu_x.tail.is_zero else math.inf
+        t = mu_x.tail
+        support = len(mu_x.values) if t.is_zero else math.inf
         levels = sorted({min(L, window) for L in TRUNCATION_LEVELS})
         shapes += [finite(mu_x.head(L)) for L in levels if L < support]
-        shapes.append(finite(mu_x.values) if levels[-1] >= support else mu_x)
+        if t.is_zero:
+            shapes.append(finite(mu_x.values))
+        elif (t.alpha, t.beta) not in ((1.0, 0.0), *GENERATORS):
+            shapes.append(power_log(t.alpha, t.beta))  # mu(x) = t.scale times it past the head
 
     reasons = []
-    best: Optional[tuple[float, MuLike]] = None
+    best: Optional[tuple[float, Sequence]] = None
     for shape in shapes:
         c, tail_argument = _candidate_scale(mu_x, shape, window)
         if math.isinf(c) or c == 0.0:
@@ -415,8 +423,6 @@ def f_norm_upper(
             else:
                 nv = space_norm(E, y, window)
                 e_norm = nv.value + nv.tail_halfwidth  # the certified upper end
-        except DivergentTailError:
-            e_norm = math.inf
         except OverflowError:
             reasons.append("witness E-norm overflows")
             continue

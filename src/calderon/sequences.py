@@ -180,11 +180,6 @@ def zero(domain: IndexDomain = IndexDomain.HALF_LINE) -> FiniteSequence:
     return finite((), 0, domain)
 
 
-def unit(n: int = 0, domain: IndexDomain = IndexDomain.HALF_LINE) -> FiniteSequence:
-    """Coordinate sequence e_n."""
-    return finite((1.0,), n, domain)
-
-
 def power_log(alpha: float, beta: float, scale: float = 1.0) -> PowerLogSequence:
     return PowerLogSequence(alpha, beta, scale)
 

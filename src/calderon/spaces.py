@@ -387,14 +387,6 @@ class AxiomCheckResult:
     quasi_triangle_modulus: float
     worst_triangle_pair: Optional[dict]
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.monotonicity_violations == 0
-            and self.rearrangement_violations == 0
-            and self.homogeneity_max_rel_dev <= 1e-9
-        )
-
 
 AXIOM_MAX_SUPPORT = 48
 

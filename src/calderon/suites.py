@@ -87,6 +87,7 @@ QUASITRIANGLE_TOL = 1e-9  # relative slack of f(x1+x2) <= 2 c_E^2 (f(x1) + f(x2)
 UNBOUNDED_SUP_THRESHOLD = 10.0  # a harmonic minimality probe above this escapes G,
 UNBOUNDED_DRIFT_THRESHOLD = 0.5  # as does one that a window doubling raises this much
 CONTAINMENT_TOL = 1e-9  # relative slack of |x|_G <= C f(x)
+HOMOGENEITY_TOL = 1e-9  # largest relative deviation of |c x| from |c| |x| in the axiom check
 
 
 def _case(name: str, ok: bool, observed: Optional[float], note: str, witness=None) -> CaseResult:
@@ -316,16 +317,21 @@ def _norms_cases(config: RunConfig) -> List[CaseResult]:
 
     for spec in _AXIOM_SPACES:
         res = axiom_check(spec, trials=config.trials, seed=seed)
+        ok = (
+            res.monotonicity_violations == 0
+            and res.rearrangement_violations == 0
+            and res.homogeneity_max_rel_dev <= HOMOGENEITY_TOL
+        )
         cases.append(
             _case(
                 f"axioms_{spec.label}",
-                res.ok,
+                ok,
                 res.quasi_triangle_modulus,
                 (
                     f"monotone={res.monotonicity_violations} rearr={res.rearrangement_violations} "
                     f"homog_dev={res.homogeneity_max_rel_dev:.3e} over {res.trials} trials"
                 ),
-                None if res.ok else {"seed": seed, "worst_pair": res.worst_triangle_pair},
+                None if ok else {"seed": seed, "worst_pair": res.worst_triangle_pair},
             )
         )
 

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calderon import cli
+from calderon import cli, optimal_range
 from calderon.brackets import InvariantError
 from calderon.optimal_range import check_domination
-from calderon.sequences import PowerLogTail, Rearrangement, ZeroTail, sequence_from_json
+from calderon.sequences import sequence_from_json
 
 
 @pytest.fixture()
@@ -394,14 +394,6 @@ def long_finite_file(tmp_path_factory):
     return str(p)
 
 
-def _witness_from_json(doc):
-    if doc.get("kind") != "rearrangement":
-        return sequence_from_json(doc)
-    t = doc["tail"]
-    tail = ZeroTail() if t == "zero" else PowerLogTail(t["alpha"], t["beta"], t["scale"])
-    return Rearrangement(np.array(doc["head"]), tail)
-
-
 @pytest.mark.parametrize("space", ["weak_l1", "llog", "lp:2", "lorentz:log1p", "m1inf"])
 def test_fnorm_of_a_finite_input_longer_than_the_window_certifies(capsys, long_finite_file, space):
     # a finite input is certified on its whole support: the window bounds
@@ -413,7 +405,54 @@ def test_fnorm_of_a_finite_input_longer_than_the_window_certifies(capsys, long_f
     assert w["window"] == 3000 and w["window_verified"] is True and w["tail_ok"] is True
     with open(long_finite_file, encoding="utf-8") as fh:
         x = sequence_from_json(json.load(fh))
-    assert check_domination(x, _witness_from_json(w["y"]), 1024).verified
+    assert check_domination(x, sequence_from_json(w["y"]), 1024).verified
+
+
+@pytest.fixture(scope="module")
+def wire_inputs(tmp_path_factory):
+    # a finite support longer than every truncation level, and an analytic
+    # profile that is neither harmonic nor a generator
+    d = tmp_path_factory.mktemp("wire")
+    values = np.random.default_rng(19).standard_normal(5000).tolist()
+    (d / "long.json").write_text(json.dumps(
+        {"kind": "finite", "domain": "half_line", "offset": 0, "values": values}))
+    (d / "pl.json").write_text(json.dumps({"kind": "power_log", "alpha": 2, "beta": 2, "scale": -1.3}))
+    return d
+
+
+@pytest.mark.parametrize("name", ["long", "pl"])
+@pytest.mark.parametrize("space", ["llog", "lp:2", "lorentz:log1p", "m1inf"])
+def test_fnorm_witness_reads_back_from_the_wire(capsys, wire_inputs, name, space):
+    # mu(x) itself is a finite shape or the unit profile of its tail, so every
+    # printed y is a wire sequence that replays the certificate
+    path = str(wire_inputs / f"{name}.json")
+    code, doc = run_json(capsys, ["optrange", "fnorm", "--in", path, "--space", space])
+    assert code == 0
+    w = doc["witness"]
+    assert w["y"]["kind"] in ("finite", "power_log")
+    with open(path, encoding="utf-8") as fh:
+        x = sequence_from_json(json.load(fh))
+    assert check_domination(x, sequence_from_json(w["y"]), w["window"]).verified
+
+
+def test_fnorm_exits_one_with_a_refuted_witness_and_prints_it(capsys, monkeypatch, impulse_file):
+    # the witness is printed even when the re-check refutes it, so that it can be replayed
+    def refuting(x, y, window):
+        cert = check_domination(x, y, window)
+        return optimal_range.DominationCertificate(
+            cert.x, cert.y, cert.window, False, cert.tail_argument, cert.tail_ok, 0
+        )
+
+    monkeypatch.setattr(optimal_range, "check_domination", refuting)
+    code, doc = run_json(capsys, ["optrange", "fnorm", "--in", impulse_file, "--space", "llog"])
+    assert code == 1
+    w = doc["witness"]
+    assert w["window_verified"] is False and w["first_violation"] == 0
+    # replayed without the patch, the printed witness certifies
+    monkeypatch.undo()
+    with open(impulse_file, encoding="utf-8") as fh:
+        x = sequence_from_json(json.load(fh))
+    assert check_domination(x, sequence_from_json(w["y"]), w["window"]).verified
 
 
 def test_member_weakl1_reads_a_finite_input_past_the_window(capsys, tmp_path):
@@ -532,6 +571,32 @@ def test_bench_csv(capsys):
 
 def test_bench_bad_sizes(capsys):
     assert cli.main(["bench", "--sizes", "64,potato"]) == 2
+
+
+@pytest.mark.parametrize("before", [False, True], ids=["after", "before"])
+@pytest.mark.parametrize(
+    "argv",
+    [["optrange", "fnorm", "--in", "IMPULSE"], ["optrange", "member-weakl1", "--in", "IMPULSE"],
+     ["family", "--kind", "Spikes", "--count", "2"]],
+    ids=["fnorm", "member-weakl1", "family"],
+)
+def test_csv_format_of_a_json_only_verb_is_a_usage_error(capsys, impulse_file, argv, before):
+    argv = [impulse_file if a == "IMPULSE" else a for a in argv]
+    argv = ["--format", "csv", *argv] if before else [*argv, "--format", "csv"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and "--format csv is not supported" in captured.err
+
+
+def test_calderon_csv(capsys, impulse_file):
+    # S e_0 = 1/(n+1): one row per index of the window
+    code = cli.main(["calderon", "--in", impulse_file, "--window", "3", "--format", "csv"])
+    out = capsys.readouterr().out.strip().split("\n")
+    assert code == 0
+    assert out[0] == "index,value,tail_halfwidth"
+    assert [float(r.split(",")[1]) for r in out[1:]] == [1.0, 0.5, 1.0 / 3.0]
+    assert [r.split(",")[0] for r in out[1:]] == ["0", "1", "2"]
 
 
 def test_family_outputs_loadable_sequences(capsys):

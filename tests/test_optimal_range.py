@@ -37,9 +37,12 @@ from calderon.sequences import (
     IndexDomain,
     decreasing_rearrangement,
     PowerLogSequence,
+    Rearrangement,
     finite,
     harmonic_number,
     power_log,
+    sequence_from_json,
+    sequence_to_json,
 )
 from calderon import optimal_range
 from calderon.suites import CONTAINMENT_TOL, image_escapes
@@ -584,6 +587,115 @@ def test_f_lp2_of_a_long_support_near_the_double_range():
     est = f_norm_upper(finite([1e300] * 3000), lp_space(2.0))
     assert est.upper == pytest.approx(1e300 * math.sqrt(3000.0), rel=1e-15)
     assert isinstance(est.witness.y, FiniteSequence) and est.witness.verified
+
+
+@pytest.mark.parametrize("E", CATALOG_SPACES, ids=lambda E: E.label)
+def test_overflowing_image_entries_read_as_the_largest_double(E):
+    # the truncations of mu(x), x = 1e308 a, have images that round to inf at
+    # the head: read as the largest double, they still bound S from below, so
+    # the scale stays certified and the search prices x as 10 times 1e307 a
+    big = f_norm_upper(power_log(1.0, 0.0, 1e308), E)
+    assert big.witness.verified
+    tenth = f_norm_upper(power_log(1.0, 0.0, 1e307), E).upper
+    if E == LORENTZ_LOG1P:
+        # at 1e307 a finite truncation wins; at 1e308 its image is clamped
+        assert 10.0 * tenth <= big.upper <= 10.0 * tenth * 1.01
+    else:
+        assert big.upper == 10.0 * tenth
+
+
+# ---------------------------------------------------------------------------
+# mu(x) of an analytic input: the unit profile of its tail
+
+# the fnorm_mix in-range profiles at scales of either sign
+signed_profiles = st.builds(
+    lambda ab, scale, sign: power_log(ab[0], ab[1], sign * scale),
+    st.sampled_from([(1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (1.25, 0.0), (1.5, 0.0),
+                     (1.5, 0.5), (1.5, 1.0), (2.0, 0.0), (2.0, 2.0)]),
+    st.floats(min_value=0.3, max_value=3.0),
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+def _rearrangement_priced_upper(x, E, window):
+    """The search with mu(x) itself a candidate, a tailed Rearrangement normed
+    after scaling: the least certified E-norm, or None if none certifies."""
+    mu_x = decreasing_rearrangement(x)
+    shapes = [power_log(1.0, 0.0)] + [power_log(a, b) for a, b in GENERATORS]
+    shapes += [finite(mu_x.head(L)) for L in sorted({min(L, window) for L in TRUNCATION_LEVELS})]
+    costs = []
+    for shape in shapes + [mu_x]:
+        c, _ = _candidate_scale(mu_x, shape, window)
+        if math.isinf(c) or c == 0.0:
+            continue
+        if isinstance(shape, PowerLogSequence):
+            cost = c * _unit_norm(E, shape, window)
+        else:
+            try:
+                nv = space_norm(E, _scaled_shape(shape, c), window)
+            except DivergentTailError:
+                continue
+            cost = nv.value + nv.tail_halfwidth
+        if 0.0 < cost < math.inf:
+            costs.append(cost)
+    return min(costs, default=None)
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(signed_profiles, st.sampled_from(CATALOG_SPACES))
+def test_analytic_mu_x_is_searched_through_its_unit_profile(x, E):
+    # x = s g gives mu(x) = |s| mu(g): the same witness function, so only
+    # rounding separates the two prices, and the witness is a wire sequence
+    want = _rearrangement_priced_upper(x, E, SMALL_GRID.window)
+    if want is None:
+        with pytest.raises(NoWitnessFoundError):
+            f_norm_upper(x, E, SMALL_GRID)
+        return
+    est = f_norm_upper(x, E, SMALL_GRID)
+    assert est.upper == pytest.approx(want, rel=1e-15)
+    assert est.witness.verified
+    y = est.witness.y
+    assert isinstance(y, (FiniteSequence, PowerLogSequence))
+    doc = json.loads(json.dumps(sequence_to_json(y)))
+    assert sequence_to_json(sequence_from_json(doc)) == sequence_to_json(y)
+
+
+@pytest.mark.parametrize("E", CATALOG_SPACES, ids=lambda E: E.label)
+def test_search_meets_a_tailed_rearrangement_only_in_the_recheck(E):
+    # the unit profile's image and norm do not depend on x: once cached, the
+    # search over another scale of the profile neither applies S to nor norms
+    # a Rearrangement with a power-log tail; only the re-check of a power-log
+    # winner reads S mu(y) afresh
+    f_norm_upper(power_log(2.0, 2.0, 0.5), E, SMALL_GRID)
+    seen, in_recheck = [], []
+
+    def tailed(y):
+        return isinstance(y, Rearrangement) and not y.tail.is_zero
+
+    def calderon_spy(y, n):
+        if tailed(y):
+            seen.append(("calderon", bool(in_recheck)))
+        return calderon(y, n)
+
+    def norm_spy(E, y, window=65536):
+        if tailed(y):
+            seen.append(("space_norm", bool(in_recheck)))
+        return space_norm(E, y, window)
+
+    def recheck_spy(x, y, window):
+        in_recheck.append(True)
+        try:
+            return check_domination(x, y, window)
+        finally:
+            in_recheck.pop()
+
+    with mock.patch.object(optimal_range, "calderon", calderon_spy), \
+            mock.patch.object(optimal_range, "space_norm", norm_spy), \
+            mock.patch.object(optimal_range, "check_domination", recheck_spy):
+        est = f_norm_upper(power_log(2.0, 2.0, -1.3), E, SMALL_GRID)
+    assert est.witness.verified
+    power_log_winner = isinstance(est.witness.y, PowerLogSequence)
+    assert seen == ([("calderon", True)] if power_log_winner else [])
 
 
 # ---------------------------------------------------------------------------

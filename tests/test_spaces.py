@@ -523,7 +523,8 @@ def test_marcinkiewicz_weak_equivalence(vals):
 @pytest.mark.parametrize("spec", ALL_SPACES, ids=lambda s: s.label)
 def test_axiom_check_passes(spec):
     res = axiom_check(spec, trials=60, seed=7)
-    assert res.ok, (spec.label, res)
+    assert res.monotonicity_violations == 0 and res.rearrangement_violations == 0, (spec.label, res)
+    assert res.homogeneity_max_rel_dev <= 1e-9, (spec.label, res)
     assert 1.0 <= res.quasi_triangle_modulus <= 2.0
 
 
