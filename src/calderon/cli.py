@@ -94,8 +94,11 @@ def _load_space(spec: str) -> SpaceSpec:
     if spec.startswith("lorentz:power:"):
         return SpaceSpec(kind="lorentz_phi", phi=PhiTemplate("power", float(spec.split(":")[2])))
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return space_spec_from_json(json.load(fh))
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                return space_spec_from_json(json.load(fh))
+        except OSError as e:
+            raise UsageError(f"cannot read space file {spec!r}: {e}") from e
     raise UsageError(
         f"unknown space {spec!r}: not a shorthand name and not an existing file"
     )
@@ -106,7 +109,11 @@ def _open_out(path: Optional[str]):
     if path is None:
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8", newline="\n")
+        except OSError as e:
+            raise UsageError(f"cannot write output file {path!r}: {e}") from e
+        with fh:
             yield fh
 
 

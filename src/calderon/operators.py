@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence as TySequence, Union
+from typing import Sequence as TySequence
 
 import numpy as np
 
@@ -37,9 +37,9 @@ from .sequences import (
     FiniteSequence,
     IndexDomain,
     DomainMismatchError,
+    MuLike,
     PowerLogSequence,
     Rearrangement,
-    Sequence,
     decreasing_rearrangement,
     dilate,
     materialize,
@@ -89,10 +89,7 @@ class OperatorOutput:
         return float(self.window_values[i])
 
 
-SType = Union[Sequence, Rearrangement]
-
-
-def calderon(x: SType, window: int) -> OperatorOutput:
+def calderon(x: MuLike, window: int) -> OperatorOutput:
     """Prefix-sum evaluation of S on [0, window)."""
     if window < 1:
         raise ValueError("window must be positive")
@@ -113,7 +110,7 @@ def calderon(x: SType, window: int) -> OperatorOutput:
     return OperatorOutput(0, values, hw, METHOD_FAST)
 
 
-def calderon_min_kernel(x: SType, window: int) -> OperatorOutput:
+def calderon_min_kernel(x: MuLike, window: int) -> OperatorOutput:
     """Kernel-product evaluation of S on [0, window): independent cross-check
     of `calderon` via the explicit min(1/k, 1/(n+1)) kernel, built in row
     blocks; ValueError when the window x K kernel exceeds MIN_KERNEL_LIMIT
@@ -201,7 +198,7 @@ def _hilbert_finite_fast(vals: np.ndarray, s0: int, out_lo: int, out_hi: int) ->
 
 
 def hilbert(
-    x: SType,
+    x: MuLike,
     out_lo: int,
     out_hi: int,
     method: str = METHOD_FAST,
@@ -249,7 +246,7 @@ def hilbert(
     return OperatorOutput(out_lo, vals, hw, method)
 
 
-def hilbert_symmetric(x: SType, halfwidth: int, method: str = METHOD_FAST) -> OperatorOutput:
+def hilbert_symmetric(x: MuLike, halfwidth: int, method: str = METHOD_FAST) -> OperatorOutput:
     """H on the symmetric window [-halfwidth, halfwidth]."""
     return hilbert(x, -halfwidth, halfwidth, method)
 

@@ -28,7 +28,8 @@ read on the support alone, since past it the test is 0 <= S mu(y).  The
 window bounds analytic heads only, and a power-log tail is closed by a
 certified ratio bound (the harmonic witness uses (S mu(a))(n) =
 (H_{n+1}+1)/(n+1) > log(n+2)/(n+1); general witnesses use the partial-sum
-lower bound S mu(y)(n) >= P_y(W)/(n+1) for n >= W).
+lower bound S mu(y)(n) >= P_y(W)/(n+1) for n >= W).  An estimate's
+certificate holds mu(x), on which alone f depends, in a wire kind, so it replays.
 
 The property measurements at the end (quasi-triangle sides, minimality
 probes, the upper constant of H against S mu) return numbers; `suites.py`
@@ -38,9 +39,9 @@ turns them into report cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional, Sequence as TySequence, Union
+from typing import Optional, Sequence as TySequence
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .operators import METHOD_FAST, calderon, hilbert_symmetric
 from .sequences import (
     FiniteSequence,
     IndexDomain,
+    MuLike,
     PowerLogSequence,
     PowerLogTail,
     Rearrangement,
@@ -75,11 +77,11 @@ class NoWitnessFoundError(RuntimeError):
     unless the message records a certified divergence."""
 
 
-MuLike = Union[Sequence, Rearrangement]
-
-
 @dataclass(frozen=True)
 class DominationCertificate:
+    """mu(x) <= S mu(y) decided on [0, window) and past it.  From
+    `f_norm_upper`, x is mu(x) in a wire kind (see `_recheck`)."""
+
     x: MuLike
     y: MuLike
     window: int
@@ -93,23 +95,10 @@ class DominationCertificate:
         return self.window_verified and self.tail_ok
 
     def to_json_dict(self) -> dict:
-        def ser(s):
-            if isinstance(s, Rearrangement):
-                t = s.tail
-                return {
-                    "kind": "rearrangement",
-                    "head": [float(v) for v in s.values],
-                    "tail": (
-                        {"alpha": t.alpha, "beta": t.beta, "scale": t.scale}
-                        if isinstance(t, PowerLogTail)
-                        else "zero"
-                    ),
-                }
-            return sequence_to_json(s)
-
+        """The wire document; TypeError for a hand-built `Rearrangement`."""
         return {
-            "x": ser(self.x),
-            "y": ser(self.y),
+            "x": sequence_to_json(self.x),
+            "y": sequence_to_json(self.y),
             "window": self.window,
             "window_verified": self.window_verified,
             "tail_argument": self.tail_argument,
@@ -343,6 +332,19 @@ def _scaled_shape(shape: MuLike, c: float) -> MuLike:
     raise TypeError(f"not a shape: {type(shape)!r}")
 
 
+def _recheck(x: MuLike, mu_x: Rearrangement, y: Sequence, window: int) -> DominationCertificate:
+    """`check_domination` of y over mu_x = mu(x), recording mu(x) in a wire
+    kind: `finite` (sorted |x| from index 0), or a power-log x's profile at
+    |scale|.  A hand-built tailed `Rearrangement` has none and stays itself."""
+    if mu_x.tail.is_zero:
+        mu_wire = finite(mu_x.values)
+    elif isinstance(x, PowerLogSequence):
+        mu_wire = power_log(x.alpha, x.beta, abs(x.scale))
+    else:
+        mu_wire = mu_x
+    return replace(check_domination(mu_x, y, window), x=mu_wire)
+
+
 def f_norm_upper(
     x: MuLike, E: SpaceSpec = WEAK_L1, search: GridConfig = DEFAULT_GRID
 ) -> FNormEstimate:
@@ -369,6 +371,9 @@ def f_norm_upper(
     Candidates are checked on the grid window, or on the support of a
     finite x; power-log unit norms are read at the grid window.
 
+    The certificate is `check_domination` on the mu(x) in hand, with x
+    recorded as mu(x) in a wire kind (`_recheck`); the zero x has the empty witness.
+
     Raises NoWitnessFoundError when no shape certifies; for E = weak-l1 the
     error is accompanied by the certified divergence of c_a(x) (x is then
     genuinely outside F), otherwise the search is merely inconclusive.
@@ -391,11 +396,7 @@ def f_norm_upper(
     mu_x = decreasing_rearrangement(x)
     window = mu_x.read_window(search.window)
     if mu_x.is_zero:
-        cert = DominationCertificate(
-            x=x, y=finite(()), window=window, window_verified=True,
-            tail_argument=TAIL_FINITE_SUPPORT, tail_ok=True,
-        )
-        return FNormEstimate(0.0, None if member is None else 0.0, cert)
+        return FNormEstimate(0.0, None if member is None else 0.0, _recheck(x, mu_x, finite(()), window))
 
     shapes: list[Sequence] = [power_log(1.0, 0.0)]  # attains f = c* over weak-l1
     if E.kind != "weak_l1":
@@ -439,9 +440,8 @@ def f_norm_upper(
             f"no candidate witness certifies (inconclusive): {sorted(set(reasons))}"
         )
     upper, y = best
-    cert = check_domination(mu_x, y, window)
     lower = None if member is None else min(floor, upper)
-    return FNormEstimate(upper, lower, cert)
+    return FNormEstimate(upper, lower, _recheck(x, mu_x, y, window))
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,7 @@ class PowerLogSequence:
 
 
 Sequence = Union[FiniteSequence, PowerLogSequence]
+MuLike = Union[Sequence, "Rearrangement"]  # a sequence, or a rearrangement already in hand
 
 
 def finite(values, offset: int = 0, domain: IndexDomain = IndexDomain.HALF_LINE) -> FiniteSequence:
@@ -298,7 +299,7 @@ def _powerlog_settle_index(x: PowerLogSequence) -> int:
     return lo
 
 
-def decreasing_rearrangement(x: Union[Sequence, Rearrangement]) -> Rearrangement:
+def decreasing_rearrangement(x: MuLike) -> Rearrangement:
     """mu(x): the values |x(k)| listed in nonincreasing order."""
     if isinstance(x, Rearrangement):
         return x
@@ -376,7 +377,7 @@ def add_scaled(x1: Sequence, a1: float, x2: Sequence, a2: float) -> Sequence:
     )
 
 
-def materialize(x: Union[Sequence, Rearrangement], n: int) -> FiniteSequence:
+def materialize(x: MuLike, n: int) -> FiniteSequence:
     """First n values of x as a finite-support sequence on the same domain."""
     if isinstance(x, FiniteSequence):
         return finite(x.dense(x.offset, min(x.end, x.offset + n)), x.offset, x.domain)
@@ -412,7 +413,7 @@ def _over_k(v, ks):
     return v / ks
 
 
-def weighted_tail_sum(x: Union[Sequence, Rearrangement], n: int) -> Bracket:
+def weighted_tail_sum(x: MuLike, n: int) -> Bracket:
     """Certified value of sum_{k=n+1}^inf x(k)/k.
 
     Exact for finite supports.  A power-log x is read as an empty-head

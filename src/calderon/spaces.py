@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -42,8 +42,8 @@ from .brackets import (
 )
 from .sequences import (
     FiniteSequence,
+    MuLike,
     Rearrangement,
-    Sequence,
     decreasing_rearrangement,
     harmonic_number,
     json_number,
@@ -187,9 +187,6 @@ def _infinite(window: int) -> NormValue:
 
 def _from_bracket(b: Bracket, window: int) -> NormValue:
     return NormValue(b.mid, b.halfwidth, window)
-
-
-MuLike = Union[Sequence, Rearrangement]
 
 
 # ---------------------------------------------------------------------------

@@ -362,7 +362,7 @@ def _norms_cases(config: RunConfig) -> List[CaseResult]:
             "sup (n+1) mu(n) diverges for mu(n) = log(n+2)/(n+1)",
         )
     )
-    mv = marcinkiewicz_norm(power_log(1.0, 1.0), window=max(16, config.window)).value
+    mv = marcinkiewicz_norm(power_log(1.0, 1.0), window=config.window).value
     cases.append(
         _case(
             "log_profile_marcinkiewicz_infinite",
@@ -432,7 +432,7 @@ def _norms_cases(config: RunConfig) -> List[CaseResult]:
 def _operators_cases(config: RunConfig) -> List[CaseResult]:
     cases: List[CaseResult] = []
     seed = config.seed
-    window = max(16, config.window)
+    window = config.window
     small = min(window, 256)
 
     rng = family_rng("operators/linearity", seed)
@@ -573,10 +573,9 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
         )
     )
 
-    hardy_fam = generate_family(FAMILY_RANDOM_SIGNED, config.trials, seed)
     for p in (1.5, 2.0, 3.0):
         bound = p + p / (p - 1.0)
-        worst = hardy_ratio(p, hardy_fam)
+        worst = hardy_ratio(p, signed)
         cases.append(_case(f"hardy_constant_p{p:g}", worst <= bound + 1e-6, worst, f"bound {bound:g}"))
 
     rng = family_rng("operators/fast_naive", seed)
@@ -613,8 +612,7 @@ def _operators_cases(config: RunConfig) -> List[CaseResult]:
         )
     )
 
-    dil_fam = generate_family(FAMILY_RANDOM_NONNEG_DECREASING, 50, seed)
-    lo, hi = dilation_commutation_band(dil_fam, ms=(2, 4, 8), window=min(window, 4096))
+    lo, hi = dilation_commutation_band(mono, ms=(2, 4, 8), window=min(window, 4096))
     cases.append(
         _case(
             "dilation_commutation_band",
@@ -772,7 +770,7 @@ def _optrange_cases(config: RunConfig) -> List[CaseResult]:
         )
     )
 
-    W = min(max(config.window, 16), 100_000)
+    W = min(config.window, 100_000)
     out = calderon(power_log(1.0, 0.0), W)
     closed = harmonic_calderon_closed_form(np.arange(W))
     dev = float(np.max(np.abs(out.window_values - closed) / closed))
@@ -930,39 +928,29 @@ _SUITE_BUILDERS: dict = {
     "norms": _norms_cases,
     "operators": _operators_cases,
     "optrange": _optrange_cases,
+    "optrange/quasitriangle": _optrange_quasitriangle_cases,
+    "optrange/minimality": _optrange_minimality_cases,
+    "optrange/hilbert": _optrange_hilbert_cases,
 }
 
 
 def run_suite(name: str, config: Optional[RunConfig] = None) -> VerificationReport:
-    """Run one named suite (or all of them, in fixed order) and return the
+    """Run one named suite (or all four, in fixed order) and return the
     consolidated report.  Reports contain no wall-clock data: identical
     (name, config) pairs produce byte-identical reports."""
     config = config or RunConfig()
-    if name not in SUITE_NAMES:
+    if name != "all" and name not in _SUITE_BUILDERS:
         raise ValueError(f"unknown suite {name!r}; choose one of {SUITE_NAMES}")
     report = VerificationReport(suite=name, cases=[], environment=config.environment_echo())
-    if name == "all":
-        for sub in ("core", "norms", "operators", "optrange"):
-            report.extend(_SUITE_BUILDERS[sub](config))
-    else:
-        report.extend(_SUITE_BUILDERS[name](config))
+    for part in SUITE_NAMES[:-1] if name == "all" else (name,):
+        report.extend(_SUITE_BUILDERS[part](config))
     return report
 
 
 def run_optrange_subsuite(name: str, config: Optional[RunConfig] = None) -> VerificationReport:
     """The focused sub-suites exposed by the optrange CLI verb."""
-    config = config or RunConfig()
     if name not in OPTRANGE_SUBSUITES:
         raise ValueError(
             f"unknown optrange sub-suite {name!r}; choose one of {OPTRANGE_SUBSUITES}"
         )
-    builder = {
-        "quasitriangle": _optrange_quasitriangle_cases,
-        "minimality": _optrange_minimality_cases,
-        "hilbert": _optrange_hilbert_cases,
-    }[name]
-    report = VerificationReport(
-        suite=f"optrange/{name}", cases=[], environment=config.environment_echo()
-    )
-    report.extend(builder(config))
-    return report
+    return run_suite(f"optrange/{name}", config)

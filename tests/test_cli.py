@@ -11,7 +11,7 @@ import pytest
 from calderon import cli, optimal_range
 from calderon.brackets import InvariantError
 from calderon.optimal_range import check_domination
-from calderon.sequences import sequence_from_json
+from calderon.sequences import decreasing_rearrangement, sequence_from_json
 
 
 @pytest.fixture()
@@ -453,6 +453,55 @@ def test_fnorm_exits_one_with_a_refuted_witness_and_prints_it(capsys, monkeypatc
     with open(impulse_file, encoding="utf-8") as fh:
         x = sequence_from_json(json.load(fh))
     assert check_domination(x, sequence_from_json(w["y"]), w["window"]).verified
+
+
+@pytest.fixture(scope="module")
+def replay_inputs(tmp_path_factory):
+    # a line-domain input with negative entries, a negative-scale profile
+    # and the zero input
+    d = tmp_path_factory.mktemp("replay")
+    docs = {
+        "line": {"kind": "finite", "domain": "line", "offset": -3, "values": [0.5, -2.0, 0.0, 1.25, -0.75]},
+        "pl": {"kind": "power_log", "alpha": 1.5, "beta": 1, "scale": -1.3},
+        "zero": {"kind": "finite", "domain": "half_line", "offset": 0, "values": [0]},
+    }
+    for name, doc in docs.items():
+        (d / f"{name}.json").write_text(json.dumps(doc))
+    return d
+
+
+VERDICT_FIELDS = ("window", "window_verified", "tail_ok", "tail_argument", "first_violation")
+
+
+@pytest.mark.parametrize("name", ["line", "pl", "zero"])
+@pytest.mark.parametrize("space", ["weak_l1", "llog", "lp:2", "lorentz:log1p", "m1inf"])
+def test_printed_certificate_replays_from_its_own_x_and_y(capsys, replay_inputs, name, space):
+    # the printed x is mu(x) in a wire kind: reading x and y back replays the
+    # verdict, with no need for the input file
+    path = str(replay_inputs / f"{name}.json")
+    code, doc = run_json(capsys, ["optrange", "fnorm", "--in", path, "--space", space])
+    assert code == 0
+    w = doc["witness"]
+    mu_x = sequence_from_json(w["x"])
+    again = check_domination(mu_x, sequence_from_json(w["y"]), w["window"])
+    assert {k: getattr(again, k) for k in VERDICT_FIELDS} == {k: w[k] for k in VERDICT_FIELDS}
+    with open(path, encoding="utf-8") as fh:
+        x = sequence_from_json(json.load(fh))
+    assert decreasing_rearrangement(mu_x).equals(decreasing_rearrangement(x))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["--space", "{dir}"], ["--space", "weak_l1", "--out", "{dir}/absent/out.json"],
+     ["--space", "weak_l1", "--out", "{dir}"]],
+    ids=["space_is_a_directory", "out_in_a_missing_directory", "out_is_a_directory"],
+)
+@pytest.mark.parametrize("verb", [["norm"], ["optrange", "fnorm"]], ids=["norm", "fnorm"])
+def test_unusable_file_paths_are_usage_errors(capsys, tmp_path, impulse_file, verb, bad):
+    code = cli.main(verb + ["--in", impulse_file] + [a.format(dir=tmp_path) for a in bad])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error:") and "Traceback" not in err
 
 
 def test_member_weakl1_reads_a_finite_input_past_the_window(capsys, tmp_path):

@@ -13,7 +13,11 @@ m1inf mass and the log1p split) choose a start themselves.
 
 The harmonic witness is written once: only `sequences` holds the H_m formula
 (the one user of Euler's constant), and H_m and the image S a are read on
-index arrays, never index by index in a loop or comprehension."""
+index arrays, never index by index in a loop or comprehension.
+
+The sequence wire format is written once: only `sequences` builds a dict
+with a "kind" key, so every printed sequence reads back through
+`sequence_from_json`."""
 
 import ast
 import json
@@ -34,6 +38,7 @@ SCIPY_USERS = {("brackets", "powerlog_tail")}
 TAIL_SUM_CALLERS = {("sequences", "series")}
 TAIL_START_CHOOSERS = {("brackets", "tail_sum"), ("spaces", "marcinkiewicz_norm"), ("spaces", "lorentz_phi_norm")}
 HARMONIC_FORMULAS = {"harmonic_number", "harmonic_calderon_closed_form"}
+KIND_WRITERS = {"sequences"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -269,3 +274,37 @@ def test_loop_detector_sees_loops_and_comprehensions():
     assert not _looped_calls(ast.parse("h = harmonic_number(np.arange(5))\n"), HARMONIC_FORMULAS)
     assert "EULER_GAMMA" in _names(ast.parse("from .sequences import EULER_GAMMA\n"))
     assert "EULER_GAMMA" in _names(ast.parse("x = sequences.EULER_GAMMA\n"))
+
+
+def _kind_writes(tree) -> list:
+    """The line of every dict display with a "kind" key, every dict(kind=...)
+    call and every assignment to a ["kind"] item."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            keys = [ast.Constant(kw.arg) for kw in node.keywords]
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [node.slice]
+        else:
+            continue
+        if any(isinstance(k, ast.Constant) and k.value == "kind" for k in keys):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_sequences_writes_a_sequence_kind():
+    writers = {m: lines for m, tree in _modules() if (lines := _kind_writes(tree))}
+    assert set(writers) <= KIND_WRITERS, writers
+    assert "sequences" in writers
+
+
+def test_kind_detector_sees_displays_calls_and_item_assignments():
+    for src in ('d = {"kind": "rearrangement", "head": []}\n', 'd = dict(kind="steps")\n',
+                'd = {}\nd["kind"] = "finite"\n', 'return_value = [{"a": {"kind": 1}}]\n',
+                'd = {**base, "kind": "x"}\n'):
+        assert _kind_writes(ast.parse(src)), src
+    for src in ('kind = d.get("kind")\n', 'd = {"space": spec.kind}\n', 'd = {"kinds": 1}\n',
+                'if d["kind"] == "finite":\n    pass\n', 'keys = {"domain", "kind"}\n'):
+        assert not _kind_writes(ast.parse(src)), src

@@ -169,6 +169,16 @@ def test_certificate_reverifies_from_scratch():
     assert again.tail_argument == w.tail_argument
 
 
+def test_certificate_of_a_tailed_rearrangement_has_no_json_form():
+    # a hand-built tailed Rearrangement has no wire kind: its certificate
+    # keeps it as given, verified, but cannot be printed
+    mu = decreasing_rearrangement(power_log(2.0, 0.0, 3.0))
+    est = f_norm_upper(mu, WEAK_L1, SMALL_GRID)
+    assert est.witness.x is mu and est.witness.verified
+    with pytest.raises(TypeError):
+        est.to_json_dict()
+
+
 # finite supports of 0..64 entries and one longer than the default grid
 # window, magnitudes 1e-6..1e6, drawn from a seeded generator
 finite_supports = st.builds(
