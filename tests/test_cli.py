@@ -488,6 +488,8 @@ def test_printed_certificate_replays_from_its_own_x_and_y(capsys, replay_inputs,
     with open(path, encoding="utf-8") as fh:
         x = sequence_from_json(json.load(fh))
     assert decreasing_rearrangement(mu_x).equals(decreasing_rearrangement(x))
+    # printed as mu(x) itself, not as x: nonnegative and sorted from index 0
+    assert np.array_equal(mu_x.head(8), decreasing_rearrangement(x).head(8))
 
 
 @pytest.mark.parametrize(
