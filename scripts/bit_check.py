@@ -35,7 +35,10 @@ power-log profiles of the `fnorm_mix` workload at negative scales (-1 and
 lp:2 on [1e200] and over all five fnorm spaces on [1e308]*3, where
 power-log witnesses are scaled near the double range, and the harmonic
 profile at scales 1e307 and 1e308 in the four catalog spaces, where the
-images of the truncations of mu(x) overflow at the head.
+images of the truncations of mu(x) overflow at the head.  The shape of
+power-log profiles whose peak lies up to e^12 out: `peak_index` and a
+SHA-256 of the sorted head, and the weak-l1, m1inf and membership verdicts
+on an (alpha, beta) grid at a negative scale.
 
 Sums whose decay exponent lies in (1, 2) are left out: there the explicit
 sum runs toward the 2^24-term cap and a single call takes seconds.  The
@@ -303,6 +306,22 @@ def main() -> int:
     for E in FNORM_SPACES[1:]:
         for s in (1e307, 1e308):
             record(out, f"fnorm/{E.label}/pl(1,0,{s:g})", lambda: fnorm_json(power_log(1.0, 0.0, s), E))
+
+    # the shape of a power-log profile: the peak, the sorted head before the
+    # settle index (a HeadResolutionError from beta/alpha = 6 on), and the sup
+    # verdicts that are decided from (alpha, beta) before any head is built
+    for a in (0.5, 1.0, 2.0, 3.0):
+        for q in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0):
+            for s in (1.0, -0.37):
+                x = power_log(a, a * q, s)
+                record(out, f"peak/pl({a},{a * q},{s})", lambda: x.peak_index)
+                record(out, f"head/pl({a},{a * q},{s})", lambda: digest(decreasing_rearrangement(x).values))
+    for a in (0.5, 0.9, 1.0, 1.5, 2.0):
+        for b in (0.0, 0.5, 1.0, 1.5, 2.0):
+            x = power_log(a, b, -0.37)
+            for spec in (WEAK_L1, M1INF):
+                record(out, f"diverge/{spec.label}/pl({a},{b},-0.37)", lambda: norm_doc(space_norm(spec, x)))
+            record(out, f"diverge/member/pl({a},{b},-0.37)", lambda: member_doc(weak_l1_membership(x)))
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)

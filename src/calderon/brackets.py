@@ -211,34 +211,24 @@ def powerlog_profile(k, alpha: float, beta: float, scale: float):
     return np.ldexp(m * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha, e)
 
 
-def ratio_profile_sup(a: float, b: float, start: int, scale: float = 1.0) -> float:
-    """Certified sup over integer t >= start of scale * log(t+2)**b * (t+1)**(-a).
+def profile_grows(a: float, b: float) -> bool:
+    """Whether log(t+2)**b * (t+1)**(-a) is unbounded: a < 0, or a = 0 < b."""
+    return a < 0.0 or (a == 0.0 and b > 0.0)
 
-    Finite exactly when a > 0, or a == 0 with b <= 0.  The profile is
-    nondecreasing then nonincreasing: its log derivative has the sign of
-    g(t) = b(t+1) - a(t+2)log(t+2), which is concave with g(-1) = 0 and
-    g(exp(b/a) - 2) = -b < 0, so the real peak is the root of g bisected on
-    (-1, exp(b/a) - 2), and the discrete sup sits at start or at the
-    integers flanking that root.
+
+def powerlog_peak(a: float, b: float, start: int, scale: float) -> int:
+    """The first integer t >= start at which |scale| log(t+2)**b (t+1)**(-a)
+    is largest, for a bounded profile with b/a at most 36.
+
+    The profile is nondecreasing then nonincreasing: its log derivative has
+    the sign of g(t) = b(t+1) - a(t+2)log(t+2), which is concave with
+    g(-1) = 0 and g(exp(b/a) - 2) = -b < 0, so the real peak is the root of g
+    bisected on (-1, exp(b/a) - 2), and the integer peak is start or one of
+    the integers flanking that root, compared at the caller's own scale.
     """
-    if scale == 0.0:
-        return 0.0
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-
-    def psi(t: float) -> float:
-        return float(powerlog_profile(t, a, b, scale))
-
-    if a < 0.0 or (a == 0.0 and b > 0.0):
-        return math.inf
-    if a == 0.0 or b <= 0.0 or b / a <= math.log(start + 2.0):
-        return psi(float(start))
-    log_tstar = b / a
-    if log_tstar > 36.0:  # peak index beyond exact float indexing; use the real max
-        log_peak = math.log(scale) + b * math.log(log_tstar) - a * log_tstar
-        # (t+1)**-a at the peak: t+2 = e^{b/a}, and (t+1) >= (t+2)/2 there
-        return math.exp(log_peak) * 2.0 ** a
-    lo, hi = -1.0, math.exp(log_tstar) - 2.0
+    if b <= 0.0 or b / a <= math.log(start + 2.0):
+        return start
+    lo, hi = -1.0, math.exp(b / a) - 2.0
     while hi - lo > 1.0:
         mid = 0.5 * (lo + hi)
         if b * (mid + 1.0) > a * (mid + 2.0) * math.log(mid + 2.0):
@@ -247,4 +237,21 @@ def ratio_profile_sup(a: float, b: float, start: int, scale: float = 1.0) -> flo
             hi = mid
     # the root lies in [lo, lo + 1], so the integer peak lies in [floor(lo), floor(lo) + 2]
     first = max(start, math.floor(lo))
-    return max(psi(float(t)) for t in (start, first, first + 1, first + 2))
+    return max((start, first, first + 1, first + 2),
+               key=lambda t: float(powerlog_profile(float(t), a, b, abs(scale))))
+
+
+def ratio_profile_sup(a: float, b: float, start: int, scale: float = 1.0) -> float:
+    """Certified sup over integer t >= start of scale * log(t+2)**b * (t+1)**(-a):
+    infinite exactly where `profile_grows`, else the profile at
+    `powerlog_peak`, or a bound on its real max where b/a exceeds 36."""
+    if scale == 0.0:
+        return 0.0
+    if scale < 0:
+        raise ValueError("scale must be nonnegative")
+    if profile_grows(a, b):
+        return math.inf
+    if a > 0.0 and b / a > max(36.0, math.log(start + 2.0)):  # peak index beyond exact float indexing
+        # (t+1)**-a at the peak: t+2 = e^{b/a}, and (t+1) >= (t+2)/2 there
+        return math.exp(math.log(scale) + b * math.log(b / a) - a * (b / a)) * 2.0 ** a
+    return float(powerlog_profile(float(powerlog_peak(a, b, start, scale)), a, b, scale))

@@ -257,18 +257,10 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _op_window(args) -> int:
-    # raw operator windows honor the request exactly; certified norm windows
-    # keep a floor of 16 so analytic tail rules stay applicable
-    if args.window < 1:
-        raise UsageError("--window must be at least 1")
-    return args.window
-
-
 def _cmd_rearrange(args) -> int:
     x = _load_sequence(args.infile)
     mu = decreasing_rearrangement(x)
-    n = len(mu.values) if mu.tail.is_zero else max(_op_window(args), len(mu.values))
+    n = len(mu.values) if mu.tail.is_zero else max(args.window, len(mu.values))
     head = mu.head(n)
     with _open_out(args.out) as fh:
         if args.format == "csv":
@@ -296,8 +288,7 @@ def _cmd_norm(args) -> int:
 
 def _cmd_calderon(args) -> int:
     x = _load_sequence(args.infile)
-    window = _op_window(args)
-    out = calderon_min_kernel(x, window) if args.min_kernel else calderon(x, window)
+    out = calderon_min_kernel(x, args.window) if args.min_kernel else calderon(x, args.window)
     with _open_out(args.out) as fh:
         _emit_operator_output(out, args.format, fh)
     return 0
@@ -309,7 +300,7 @@ def _cmd_hilbert(args) -> int:
     if (args.lo is None) != (args.hi is None):
         raise UsageError("--lo and --hi must be given together")
     if args.lo is None:
-        out = hilbert_symmetric(x, _op_window(args), method)
+        out = hilbert_symmetric(x, args.window, method)
     else:
         out = hilbert(x, args.lo, args.hi, method)
     with _open_out(args.out) as fh:
@@ -415,6 +406,8 @@ def main(argv: Optional[list] = None) -> int:
     args = ap.parse_args(argv)
     try:
         verb = " ".join(filter(None, (args.command, getattr(args, "optrange_command", None))))
+        if args.window < 1:  # raw operators honor it exactly; certified norms floor it at 16
+            raise UsageError("--window must be at least 1")
         if _DISPATCH[verb] in _JSON_ONLY and args.format == "csv":
             raise UsageError(f"{verb} writes JSON only; --format csv is not supported")
         return _DISPATCH[verb](args)

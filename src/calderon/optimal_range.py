@@ -62,7 +62,7 @@ from .sequences import (
     power_log,
     sequence_to_json,
 )
-from .spaces import WEAK_L1, SpaceSpec, space_norm, weighted_sup
+from .spaces import WEAK_L1, SpaceSpec, space_norm, weighted_sup, weighted_sup_diverges
 
 TAIL_FINITE_SUPPORT = "finite_support_x"
 TAIL_ANALYTIC = "analytic_comparison"
@@ -176,17 +176,12 @@ class MembershipResult:
 
 
 def weak_l1_membership(x: MuLike, window: int = 1 << 14) -> MembershipResult:
-    """c_a(x) = sup_n mu(n, x)(n+1)/log(n+2); member iff finite.  A finite
-    x is read on its whole support, an analytic one to the window.  An
-    explicit sup beyond the double range raises OverflowError (inf means
-    divergence)."""
-    if isinstance(x, PowerLogSequence):
-        # the rearrangement keeps the profile's own tail (at scale |x.scale|,
-        # from index window on), so divergence of c_a is decided by the tail
-        # alone -- no head resolution needed (profiles with alpha < 1 may not
-        # settle within any desk-scale cap)
-        if math.isinf(ratio_profile_sup(x.alpha - 1.0, x.beta - 1.0, window, scale=abs(x.scale))):
-            return MembershipResult(False, math.inf)
+    """c_a(x) = sup_n mu(n, x)(n+1)/log(n+2); member iff finite.  Divergence
+    is read from an analytic profile before its head is built; a finite x is
+    read on its whole support, an analytic one to the window.  An explicit
+    sup beyond the double range raises OverflowError (inf means divergence)."""
+    if weighted_sup_diverges(x, 1):
+        return MembershipResult(False, math.inf)
     c_a = weighted_sup(decreasing_rearrangement(x), window, 1)
     return MembershipResult(not math.isinf(c_a), c_a)
 

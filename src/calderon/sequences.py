@@ -12,9 +12,10 @@ Two concrete representations cover everything the package computes with:
   the tail estimates in :mod:`calderon.brackets`.
 
 The decreasing rearrangement mu(x) lists |x(k)| in nonincreasing order.  For
-the power-log family the profile is nondecreasing then nonincreasing, so
-beyond a computable index the rearrangement coincides with the profile
-itself; a Rearrangement stores the sorted head and that analytic tail.
+the power-log family the profile rises to a peak bisected from (alpha, beta)
+and then falls, so from the first index past the peak where it is at most
+|x(0)| the rearrangement is the profile itself; a Rearrangement stores the
+sorted head before that index and the analytic tail.
 H_m has one formula, read at an index or an index array by `harmonic_number`.
 """
 
@@ -28,7 +29,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .brackets import Bracket, InvariantError, ZERO_BRACKET, explicit_sum, powerlog_profile, stored_profile, tail_sum
+from .brackets import (Bracket, InvariantError, ZERO_BRACKET, explicit_sum, powerlog_peak, powerlog_profile,
+                       stored_profile, tail_sum)
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -142,24 +144,14 @@ class PowerLogSequence:
         return self.values_at(np.arange(n))
 
     @cached_property
-    def monotone_from(self) -> int:
-        """Index K with x nonincreasing on [K, inf): derivative sign gives
-        beta*(t+1) <= alpha*(t+2)*log(t+2), which holds once log(t+2) >= beta/alpha."""
-        if self.beta == 0.0:
-            return 0
-        return max(0, math.ceil(math.exp(self.beta / self.alpha) - 2.0))
-
-    @cached_property
     def peak_index(self) -> int:
-        K = self.monotone_from
-        if K == 0:
-            return 0
-        if K > HEAD_SCAN_CAP:
+        """The first index at which |x| is largest; HeadResolutionError when
+        e**(beta/alpha), a bound on it, exceeds HEAD_SCAN_CAP."""
+        if self.beta / self.alpha > math.log(HEAD_SCAN_CAP):
             raise HeadResolutionError(
                 f"power-log head peak beyond scan cap (alpha={self.alpha}, beta={self.beta})"
             )
-        vals = np.abs(self.values_at(np.arange(K + 2)))
-        return int(np.argmax(vals))
+        return powerlog_peak(self.alpha, self.beta, 0, self.scale)
 
 
 Sequence = Union[FiniteSequence, PowerLogSequence]

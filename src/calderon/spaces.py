@@ -37,12 +37,14 @@ from .brackets import (
     choose_tail_start,
     explicit_sum,
     powerlog_tail,
+    profile_grows,
     ratio_profile_sup,
     stored_profile,
 )
 from .sequences import (
     FiniteSequence,
     MuLike,
+    PowerLogSequence,
     Rearrangement,
     decreasing_rearrangement,
     harmonic_number,
@@ -243,8 +245,18 @@ def weighted_sup(mu: Rearrangement, window: int, log_power: int) -> float:
     return max(sup, ratio_profile_sup(t.alpha - 1.0, t.beta - log_power, len(head), scale=t.scale))
 
 
+def weighted_sup_diverges(x: MuLike, log_power: int) -> bool:
+    """Whether sup_n mu(n) (n+1) / log(n+2)**log_power is infinite, read from
+    the power-log profile of x or of its rearrangement's tail before any head
+    is built: the ratio is the profile (alpha - 1, beta - log_power)."""
+    t = x.tail if isinstance(x, Rearrangement) else x
+    return isinstance(t, PowerLogSequence) and not t.is_zero and profile_grows(t.alpha - 1.0, t.beta - log_power)
+
+
 def weak_l1_quasinorm(x: MuLike, window: int = 65536) -> NormValue:
     """sup_n (n+1) mu(n); infinite when the analytic tail grows faster than 1/n."""
+    if weighted_sup_diverges(x, 0):
+        return _infinite(window)
     mu = decreasing_rearrangement(x)
     return NormValue(weighted_sup(mu, window, 0), 0.0, mu.read_window(window))
 
@@ -299,13 +311,13 @@ def marcinkiewicz_norm(x: MuLike, window: int = 65536) -> NormValue:
 
     Finite supports are exact.  Analytic tails: the partial sums grow like
     n^(1-alpha) (alpha < 1) or log^(beta+1) (alpha = 1, beta > 0), so the sup
-    is infinite unless alpha > 1 or (alpha, beta) = (1, 0); in the convergent
-    cases a certified beyond-window bound shows the window sup is the sup.
+    is infinite exactly where the weak-l1 quasinorm is; in the other cases a
+    certified beyond-window bound shows the window sup is the sup.
     """
+    if weighted_sup_diverges(x, 0):
+        return _infinite(window)
     mu = decreasing_rearrangement(x)
     t = mu.tail
-    if not t.is_zero and (t.alpha < 1.0 or (t.alpha == 1.0 and t.beta > 0.0)):
-        return _infinite(window)
     head = mu.values if t.is_zero else mu.head(window)
     W = len(head)
     if not W:

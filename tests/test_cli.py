@@ -264,6 +264,25 @@ def test_norm_lp2_of_a_slowly_decaying_profile_keeps_memory_bounded(tmp_path):
     assert peak_kb < 300 * 1024
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize(
+    "beta, space, code, value",
+    [(16.0, "lp:2", 1, None), (5.0, "weak_l1", 0, "Infinity"), (5.0, "m1inf", 0, "Infinity")],
+    ids=["lp2_peak_at_e16", "weak_l1_divergent", "m1inf_divergent"],
+)
+def test_power_log_shape_is_read_before_any_head_is_built(tmp_path, beta, space, code, value):
+    # power_log(1, 16) peaks near index e^16 and never settles under the cap;
+    # power_log(1, 5) settles near 5.7e6 yet diverges in both sups: both answers
+    # come from (alpha, beta) alone, without an index array of that length
+    p = tmp_path / "late.json"
+    p.write_text(json.dumps({"kind": "power_log", "alpha": 1.0, "beta": beta}))
+    got, out, peak_kb = _run_with_peak(["norm", "--space", space, "--in", str(p)])
+    assert got == code
+    if value is not None:
+        assert json.loads(out)["value"] == value
+    assert peak_kb < 100 * 1024
+
+
 def test_norm_space_file(capsys, impulse_file, tmp_path):
     sp = tmp_path / "space.json"
     sp.write_text(json.dumps({"space": "lp", "p": 3.0}))
@@ -504,6 +523,28 @@ def test_unusable_file_paths_are_usage_errors(capsys, tmp_path, impulse_file, ve
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+WINDOW_VERBS = {
+    "rearrange": ["rearrange", "--in", "IMPULSE"],
+    "norm": ["norm", "--space", "llog", "--in", "IMPULSE"],
+    "calderon": ["calderon", "--in", "IMPULSE"],
+    "hilbert": ["hilbert", "--in", "IMPULSE"],
+    "fnorm": ["optrange", "fnorm", "--in", "IMPULSE"],
+    "member-weakl1": ["optrange", "member-weakl1", "--in", "IMPULSE"],
+    "optrange-verify": ["optrange", "verify", "--suite", "minimality", "--trials", "1"],
+    "verify": ["verify", "--suite", "core", "--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("window", ["0", "-5"])
+@pytest.mark.parametrize("verb", list(WINDOW_VERBS))
+def test_window_below_one_is_a_usage_error_in_every_verb(capsys, impulse_file, verb, window):
+    argv = [impulse_file if a == "IMPULSE" else a for a in WINDOW_VERBS[verb]]
+    assert cli.main(argv + ["--window", window]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and "--window" in captured.err
 
 
 def test_member_weakl1_reads_a_finite_input_past_the_window(capsys, tmp_path):

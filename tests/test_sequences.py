@@ -137,6 +137,40 @@ def test_rearrangement_rejects_tail_above_head_edge():
         Rearrangement(np.array([0.001]), PowerLogTail(1.0, 0.0, 1.0))
 
 
+def _abs_profile(alpha, beta, scale, n):
+    # |x| on [0, n), written from the profile's definition alone
+    k = np.arange(n, dtype=np.float64)
+    return np.abs(scale * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha)
+
+
+PEAK_CASES = [(a, q) for a in (0.2, 0.5, 1.0, 2.0, 3.0) for q in (0.5, 0.7, 1.0, 2.0, 3.5, 5.0, 7.0, 9.5, 12.0)]
+
+
+@pytest.mark.parametrize("alpha, ratio", PEAK_CASES)
+def test_peak_index_is_the_first_argmax_of_the_scanned_profile(alpha, ratio):
+    # the real peak lies below e^(beta/alpha) - 2, so the scan covers it
+    n = math.ceil(math.exp(ratio)) + 2
+    for scale in (1.0, -0.37, 3e200, -2.5e-300):
+        expected = int(np.argmax(_abs_profile(alpha, alpha * ratio, scale, n)))
+        assert power_log(alpha, alpha * ratio, scale).peak_index == expected, scale
+
+
+SETTLE_CASES = [(a, q) for a in (0.5, 1.0, 2.0) for q in (0.5, 1.0, 2.0, 3.0, 4.0)]
+
+
+@pytest.mark.parametrize("alpha, ratio", SETTLE_CASES)
+@pytest.mark.parametrize("scale", [1.0, -0.37])
+def test_power_log_head_is_the_brute_force_sort_up_to_its_settle_index(alpha, ratio, scale):
+    # the settle index is the first index past the peak where |x| <= |x(0)|
+    v = _abs_profile(alpha, alpha * ratio, scale, 1 << 17)
+    peak = int(np.argmax(v))
+    past = np.nonzero(v[peak + 1:] <= v[0])[0]
+    assert past.size
+    settle = 0 if peak == 0 else peak + 1 + int(past[0])
+    expected = np.sort(v[:max(settle, 8)])[::-1]
+    assert np.array_equal(decreasing_rearrangement(power_log(alpha, alpha * ratio, scale)).values, expected)
+
+
 def test_head_resolution_error_when_settle_point_unreachable():
     # tiny alpha with huge beta peaks astronomically late
     with pytest.raises(HeadResolutionError):

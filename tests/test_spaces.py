@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import zeta
 
-from calderon import brackets, spaces
+from calderon import brackets, optimal_range, spaces
 from calderon.brackets import TAIL_CAP, TAIL_TOL, DivergentTailError, explicit_sum, stored_profile
 from calderon.families import POWER_LOG_GRID
 from calderon.operators import calderon
-from calderon.optimal_range import GENERATORS, f_norm_upper
-from calderon.sequences import decreasing_rearrangement, finite, power_log, weighted_tail_sum
+from calderon.optimal_range import GENERATORS, MembershipResult, f_norm_upper, weak_l1_membership
+from calderon.sequences import (
+    PowerLogTail, Rearrangement, decreasing_rearrangement, finite, power_log, weighted_tail_sum,
+)
 from calderon.spaces import (
     LLOG,
     LOG1P,
@@ -205,6 +207,33 @@ def test_weak_l1_of_harmonic_profile_is_one():
 def test_weak_l1_scales_with_profile_scale():
     got = weak_l1_quasinorm(power_log(1.0, 0.0, scale=3.5))
     assert got.value == pytest.approx(3.5, rel=1e-15)
+
+
+VERDICT_GRID = [(a, b) for a in (0.5, 0.9, 1.0, 1.1, 2.0) for b in (0.0, 0.5, 1.0, 1.5, 2.0) if b / a <= 4.0]
+
+
+@pytest.mark.parametrize("alpha, beta", VERDICT_GRID)
+def test_sup_verdicts_follow_the_closed_form_rules(alpha, beta):
+    # sup (n+1) mu(n) and the m1inf sup are infinite iff alpha < 1 or
+    # (alpha = 1, beta > 0); c_a, with one more log, iff alpha < 1 or (alpha = 1, beta > 1)
+    x = power_log(alpha, beta, -0.37)
+    grows = alpha < 1.0 or (alpha == 1.0 and beta > 0.0)
+    assert weak_l1_quasinorm(x).is_infinite is grows
+    assert marcinkiewicz_norm(x).is_infinite is grows
+    assert math.isinf(weak_l1_membership(x).c_a) is (alpha < 1.0 or (alpha == 1.0 and beta > 1.0))
+
+
+def test_divergent_sups_are_decided_before_any_head_is_built(monkeypatch):
+    def no_head(x):
+        raise AssertionError("a head was built")
+
+    monkeypatch.setattr(spaces, "decreasing_rearrangement", no_head)
+    monkeypatch.setattr(optimal_range, "decreasing_rearrangement", no_head)
+    x = power_log(0.5, 5.0)  # its head never settles under the cap
+    assert weak_l1_quasinorm(x).is_infinite and marcinkiewicz_norm(x).is_infinite
+    assert weak_l1_membership(x) == MembershipResult(False, math.inf)
+    mu = Rearrangement(np.array([2.0]), PowerLogTail(1.0, 0.5, 1.0))
+    assert weak_l1_quasinorm(mu).is_infinite and marcinkiewicz_norm(mu).is_infinite
 
 
 def test_marcinkiewicz_of_harmonic_profile_attains_inv_log2():
