@@ -38,7 +38,11 @@ profile at scales 1e307 and 1e308 in the four catalog spaces, where the
 images of the truncations of mu(x) overflow at the head.  The shape of
 power-log profiles whose peak lies up to e^12 out: `peak_index` and a
 SHA-256 of the sorted head, and the weak-l1, m1inf and membership verdicts
-on an (alpha, beta) grid at a negative scale.
+on an (alpha, beta) grid at a negative scale.  Long heads and the double
+range: m1inf and lorentz:log1p at windows 16 and 64 on profiles whose sorted
+head is longer than the window, `sum` of `power_log(1, 5)`, and convergent
+power-log inputs whose values or sups only overflow the double range (each
+records an `OverflowError` where its value is not a double).
 
 Sums whose decay exponent lies in (1, 2) are left out: there the explicit
 sum runs toward the 2^24-term cap and a single call takes seconds.  The
@@ -322,6 +326,26 @@ def main() -> int:
             for spec in (WEAK_L1, M1INF):
                 record(out, f"diverge/{spec.label}/pl({a},{b},-0.37)", lambda: norm_doc(space_norm(spec, x)))
             record(out, f"diverge/member/pl({a},{b},-0.37)", lambda: member_doc(weak_l1_membership(x)))
+
+    # sorted heads longer than the window: the explicit mass past the window
+    # is read from the head, then from the profile
+    for a, b, s in ((1.5, 4.0, 0.37), (2.0, 6.0, 0.37), (1.2, 5.0, 1.0)):
+        for spec in (M1INF, FNORM_SPACES[3]):
+            for window in (16, 64):
+                record(out, f"longhead/{spec.label}/pl({a},{b},{s})/w{window}",
+                       lambda: norm_doc(space_norm(spec, power_log(a, b, s), window)))
+    record(out, "norm/sum_weakl1_linf/pl(1.0,5.0,1.0)", lambda: norm_doc(space_norm(SUM_SPACE, power_log(1.0, 5.0))))
+    # convergent inputs at the edge of the double range: a value is a double
+    # or an OverflowError, never inf
+    edge_norms = [((1.5, 0.0, 1e308), LLOG), ((1.5, 0.0, 1e308), FNORM_SPACES[3]),
+                  ((1.05, 1.0, 2.6e307), WEAK_L1), ((1.001, 1.0, 1e306), M1INF)]
+    edge_norms += [((1.5, 6.0, 7e307), spec) for spec in (WEAK_L1, SUM_SPACE, LLOG)]
+    for (a, b, s), spec in edge_norms:
+        record(out, f"edge/{spec.label}/pl({a},{b},{s:g})", lambda: norm_doc(space_norm(spec, power_log(a, b, s))))
+    for a, b, s in ((1.5, 6.0, 7e307), (1.05, 2.0, 1e308)):
+        x = power_log(a, b, s)
+        record(out, f"edge/member/pl({a},{b},{s:g})", lambda: member_doc(weak_l1_membership(x)))
+        record(out, f"edge/fnorm/weak_l1/pl({a},{b},{s:g})", lambda: fnorm_json(x, WEAK_L1))
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)

@@ -14,14 +14,14 @@ with s > 1, beta >= 0.  The bounds come from two elementary comparisons:
 
 The resulting [lower, upper] interval is exact mathematics up to floating
 point roundoff; callers shrink it by pushing N outward.  Every certified series
-follows one policy: terms summed explicitly in longdouble (`explicit_sum`) up
-to a start index doubled outward until the bracket of the unit-scale profile
-(shape and fixed weights of the space, never the data's scale) has half-width
-at most TAIL_TOL or the start reaches TAIL_CAP, where the wider bracket is
-returned as it stands; `tail_sum` then multiplies it by the data's scale c
-once.  So a half-width is at most TAIL_TOL * c, or the start reached
-TAIL_CAP, and every bracket scales with its input (at a power-of-two c, bit
-for bit).  The explicit sum holds at most SUM_BLOCK terms in memory at a time.
+follows one policy, applied by `sequences.series`: terms summed explicitly in
+longdouble (`explicit_sum`) up to a start index doubled outward until the
+bracket of the unit-scale profile (shape and fixed weights of the space,
+never the data's scale) has half-width at most tol (TAIL_TOL by default) or
+the start reaches TAIL_CAP, where the wider bracket is returned as it stands;
+it is then multiplied by the data's scale c once.  So a half-width is at most
+tol * c, or the start reached TAIL_CAP, and every bracket scales with its
+input (at a power-of-two c, bit for bit).  SUM_BLOCK bounds the terms held.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class Bracket:
 
     @property
     def mid(self) -> float:
-        # a zero-width bracket keeps its value: 0.5 * (v + v) overflows above ~9e307
-        return self.lo if self.lo == self.hi else 0.5 * (self.lo + self.hi)
+        # 0.5 * (lo + hi) overflows above ~9e307; a zero width keeps a subnormal
+        return self.lo if self.lo == self.hi else 0.5 * self.lo + 0.5 * self.hi
 
     @property
     def halfwidth(self) -> float:
@@ -184,16 +184,6 @@ def stored_profile(values, offset: int = 0):
     return profile
 
 
-def tail_sum(profile, first: int, term, alpha: float, beta: float, scale: float, **tail) -> tuple[int, float, Bracket]:
-    """The certified tail step for data at scale `scale`: (start, explicit,
-    rem) with start chosen on the unit-scale profile by
-    choose_tail_start(alpha, beta, first, TAIL_TOL, **tail), explicit the sum
-    of term(profile(k), k) over [first, start), and rem the unit bracket of
-    the remaining power-log series from start on, times the scale."""
-    start, rem = choose_tail_start(alpha, beta, first, TAIL_TOL, **tail)
-    return start, explicit_sum(profile, first, start, term), rem.scaled(scale)
-
-
 def powerlog_profile(k, alpha: float, beta: float, scale: float):
     """scale * log(k+2)**beta / (k+1)**alpha at the indices k (float64).
 
@@ -201,14 +191,15 @@ def powerlog_profile(k, alpha: float, beta: float, scale: float):
     [0.5, 1): the profile is formed at scale m and rescaled once, so the
     product with the log factor cannot overflow on the way.  The power-of-two
     rescale is exact, so the values are those of the direct formula wherever
-    that formula stays inside the double range.  Below 2**512 only a log
-    factor above 2**512 could overflow the product, and the direct formula
-    is kept: it saves a pass over k."""
+    that formula stays inside the double range, and inf, unwarned, beyond.
+    Below 2**512 only a log factor above 2**512 could overflow the product,
+    and the direct formula is kept: it saves a pass over k."""
     k = np.asarray(k, dtype=np.float64)
     if abs(scale) < 2.0 ** 512:
         return scale * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha
     m, e = math.frexp(scale)
-    return np.ldexp(m * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha, e)
+    with np.errstate(over="ignore"):
+        return np.ldexp(m * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha, e)
 
 
 def profile_grows(a: float, b: float) -> bool:

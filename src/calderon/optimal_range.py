@@ -178,12 +178,11 @@ class MembershipResult:
 def weak_l1_membership(x: MuLike, window: int = 1 << 14) -> MembershipResult:
     """c_a(x) = sup_n mu(n, x)(n+1)/log(n+2); member iff finite.  Divergence
     is read from an analytic profile before its head is built; a finite x is
-    read on its whole support, an analytic one to the window.  An explicit
+    read on its whole support, an analytic one to the window.  A convergent
     sup beyond the double range raises OverflowError (inf means divergence)."""
     if weighted_sup_diverges(x, 1):
         return MembershipResult(False, math.inf)
-    c_a = weighted_sup(decreasing_rearrangement(x), window, 1)
-    return MembershipResult(not math.isinf(c_a), c_a)
+    return MembershipResult(True, weighted_sup(decreasing_rearrangement(x), window, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -373,25 +372,23 @@ def f_norm_upper(
     error is accompanied by the certified divergence of c_a(x) (x is then
     genuinely outside F), otherwise the search is merely inconclusive.
     """
-    member = floor = None
-    if E.kind == "weak_l1":
-        # the floor lies below f, so it is a double wherever f is; c_a itself
-        # may exceed the double range by up to 2/log 2, and is then read at x/4
-        try:
-            member = weak_l1_membership(x, search.window)
-            floor = member.c_a * LOG2 / 2.0
-        except OverflowError:
-            member = weak_l1_membership(_scaled_shape(x, 0.25), search.window)
-            floor = member.c_a * (2.0 * LOG2)
-    if member is not None and not member.member:
+    floor = None
+    if E.kind == "weak_l1" and weighted_sup_diverges(x, 1):
         # certified before any head resolution: no witness can dominate x
         raise NoWitnessFoundError(
             "no witness exists: c_a(x) diverges, x is outside the range space"
         )
     mu_x = decreasing_rearrangement(x)
+    if E.kind == "weak_l1":
+        # the floor lies below f, so it is a double wherever f is; c_a itself
+        # may exceed the double range by up to 2/log 2, and is then read at mu(x)/4
+        try:
+            floor = weak_l1_membership(mu_x, search.window).c_a * LOG2 / 2.0
+        except OverflowError:
+            floor = weak_l1_membership(_scaled_shape(mu_x, 0.25), search.window).c_a * (2.0 * LOG2)
     window = mu_x.read_window(search.window)
     if mu_x.is_zero:
-        return FNormEstimate(0.0, None if member is None else 0.0, _recheck(x, mu_x, finite(()), window))
+        return FNormEstimate(0.0, None if floor is None else 0.0, _recheck(x, mu_x, finite(()), window))
 
     shapes: list[Sequence] = [power_log(1.0, 0.0)]  # attains f = c* over weak-l1
     if E.kind != "weak_l1":
@@ -435,7 +432,7 @@ def f_norm_upper(
             f"no candidate witness certifies (inconclusive): {sorted(set(reasons))}"
         )
     upper, y = best
-    lower = None if member is None else min(floor, upper)
+    lower = None if floor is None else min(floor, upper)
     return FNormEstimate(upper, lower, _recheck(x, mu_x, y, window))
 
 

@@ -29,8 +29,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .brackets import (Bracket, InvariantError, ZERO_BRACKET, explicit_sum, powerlog_peak, powerlog_profile,
-                       stored_profile, tail_sum)
+from .brackets import (TAIL_TOL, Bracket, InvariantError, ZERO_BRACKET, choose_tail_start, explicit_sum, powerlog_peak,
+                       powerlog_profile, stored_profile)
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -228,6 +228,8 @@ class Rearrangement:
         self.values.setflags(write=False)
         v = self.values
         if v.size:
+            if math.isinf(v[0]):
+                raise OverflowError("a rearranged value exceeds the double range")
             if v[-1] < 0:
                 raise InvariantError("rearrangement values must be nonnegative")
             if np.any(np.diff(v) > 0):
@@ -247,12 +249,12 @@ class Rearrangement:
         """The window mu is read on: a finite mu's whole support if longer."""
         return max(window, len(self.values)) if self.tail.is_zero else window
 
-    def head(self, n: int, first: int = 0) -> np.ndarray:
-        """Rearranged values at the indices first, ..., n - 1."""
+    def head(self, n: int) -> np.ndarray:
+        """Rearranged values at the indices 0, ..., n - 1."""
         if n <= len(self.values):
-            return self.values[first:n]
-        ext = self.tail.values_at(np.arange(max(first, len(self.values)), n))
-        return np.concatenate([self.values[first:], ext])
+            return self.values[:n]
+        ext = self.tail.values_at(np.arange(len(self.values), n))
+        return np.concatenate([self.values, ext])
 
     def value_at(self, n: int) -> float:
         if n < len(self.values):
@@ -384,21 +386,22 @@ def materialize(x: MuLike, n: int) -> FiniteSequence:
 # series over a rearrangement, and weighted tail sums  sum_{k > n} x(k)/k
 
 
-def series(mu: Rearrangement, term, first: int = 0, power: float = 1.0, **tail) -> tuple[int, float, Bracket]:
+def series(mu: Rearrangement, term, first: int = 0, power: float = 1.0, tol: float = TAIL_TOL,
+           **tail) -> tuple[int, float, Bracket]:
     """sum_{k >= first} term(mu(k), k) as (start, explicit, rem): explicit in
     longdouble over [first, start), stored head then profile, and rem the
     bracket beyond.  A finite mu is read on its whole support (rem is zero);
-    an analytic tail is closed by `brackets.tail_sum`, so term(mu(k), k) must
-    be its power-log profile to the `power`, times the weights in `tail`."""
+    an analytic tail is closed by the tail policy of `brackets` at target
+    tol, so term(mu(k), k) must be its power-log profile to the `power`,
+    times the weights in `tail`."""
     W = len(mu.values)
     head = explicit_sum(stored_profile(mu.values), first, W, term)
     t = mu.tail
     if t.is_zero:
         return max(first, W), head, ZERO_BRACKET
-    start, gap, rem = tail_sum(
-        t.values_at, max(first, W), term, t.alpha * power, t.beta * power, t.scale ** power, **tail
-    )
-    return start, head + gap, rem
+    start, rem = choose_tail_start(t.alpha * power, t.beta * power, max(first, W), tol, **tail)
+    gap = explicit_sum(t.values_at, max(first, W), start, term)
+    return start, head + gap, rem.scaled(t.scale ** power)
 
 
 def _over_k(v, ks):

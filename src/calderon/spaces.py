@@ -14,11 +14,12 @@ spaces:
 
 Values are certified: a finite mu is read on its whole support, an analytic
 one explicitly and then by analytic tail brackets for the power-log family
-(every series through `sequences.series`, both weighted sups through
-`weighted_sup`).  A functional that genuinely diverges reports an
-infinite value (`NormValue.is_infinite`) rather than raising; summatory norms
-whose tail integral diverges raise DivergentTailError since no finite bracket
-exists.
+(every series through `sequences.series`, the m1inf mass and the log1p
+split included; both weighted sups through `weighted_sup`).  A functional
+that genuinely diverges reports an infinite value (`NormValue.is_infinite`);
+one that converges beyond the double range raises OverflowError.  Summatory
+norms whose tail integral diverges raise DivergentTailError since no finite
+bracket exists.
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ from .brackets import (
     Bracket,
     DivergentTailError,
     InvariantError,
-    choose_tail_start,
-    explicit_sum,
     powerlog_tail,
     profile_grows,
     ratio_profile_sup,
-    stored_profile,
 )
 from .sequences import (
     FiniteSequence,
@@ -188,6 +186,9 @@ def _infinite(window: int) -> NormValue:
 
 
 def _from_bracket(b: Bracket, window: int) -> NormValue:
+    """OverflowError for an end beyond the double range: inf means divergence."""
+    if math.isinf(b.hi):
+        raise OverflowError("a certified bracket end exceeds the double range")
     return NormValue(b.mid, b.halfwidth, window)
 
 
@@ -224,10 +225,11 @@ def weighted_sup(mu: Rearrangement, window: int, log_power: int) -> float:
     finite mu read on its whole support, an analytic one to the window with
     its tail closed by `ratio_profile_sup` (inf when it grows).  Formed on
     mu / 2**e, e the exponent of mu(0), so no product overflows and the
-    rescale is exact; an explicit sup beyond the double range raises
-    OverflowError, since inf means divergence."""
+    rescale is exact; a convergent sup beyond the double range raises
+    OverflowError, over the window or past it (inf means divergence)."""
     t = mu.tail
     head = mu.values if t.is_zero else mu.head(window)
+    name = ("the weak-l1 quasinorm", "c_a")[log_power]
     sup = 0.0
     if len(head):
         e = math.frexp(head[0])[1]
@@ -238,11 +240,14 @@ def weighted_sup(mu: Rearrangement, window: int, log_power: int) -> float:
         try:
             sup = math.ldexp(float(np.max(scaled)), e)
         except OverflowError:
-            name = ("the weak-l1 quasinorm", "c_a")[log_power]
             raise OverflowError(f"{name} over the window exceeds the double range") from None
     if t.is_zero:
         return sup
-    return max(sup, ratio_profile_sup(t.alpha - 1.0, t.beta - log_power, len(head), scale=t.scale))
+    a, b = t.alpha - 1.0, t.beta - log_power
+    tail_sup = ratio_profile_sup(a, b, len(head), scale=t.scale)
+    if math.isinf(tail_sup) and not profile_grows(a, b):
+        raise OverflowError(f"{name} past the window exceeds the double range")
+    return max(sup, tail_sup)
 
 
 def weighted_sup_diverges(x: MuLike, log_power: int) -> bool:
@@ -282,17 +287,14 @@ def lorentz_phi_norm(x: MuLike, phi: PhiTemplate, window: int = 65536) -> NormVa
     if t.is_zero:
         start, explicit, rem = series(mu, weighted)
     elif phi.name == "log1p":
-        # log(1+1/(n+1)) = 1/(n+1) - delta, 0 < delta < 1/(2(n+1)^2): on the
-        # unit-scale profile the tail lies between the shift-1 sum minus half
-        # the shift-2 sum and the shift-1 sum.  The start is chosen on the
-        # shift-1 series: the shift-2 one is safe no later and, with an extra
-        # factor 1/U, no wider there.
-        W = len(mu.values)
-        start, s1 = choose_tail_start(t.alpha, t.beta, W, TAIL_TOL / 2, shift_power=1.0)
-        s2 = powerlog_tail(t.alpha, t.beta, start, shift_power=2.0)
-        head = explicit_sum(stored_profile(mu.values), 0, W, weighted)
-        explicit = head + explicit_sum(t.values_at, W, start, weighted)
-        rem = Bracket(max(0.0, s1.lo - s2.hi / 2.0), s1.hi).scaled(t.scale)
+        # log(1+1/(n+1)) = 1/(n+1) - delta, 0 < delta < 1/(2(n+1)^2): the
+        # tail lies between the shift-1 sum minus half the shift-2 sum and
+        # the shift-1 sum.  The start is chosen on the shift-1 series: the
+        # shift-2 one is safe no later and, with an extra factor 1/U, no
+        # wider there.
+        start, explicit, s1 = series(mu, weighted, shift_power=1.0, tol=TAIL_TOL / 2)
+        s2 = powerlog_tail(t.alpha, t.beta, start, shift_power=2.0).scaled(t.scale)
+        rem = Bracket(max(0.0, s1.lo - s2.hi / 2.0), s1.hi)
     else:
         theta = phi.theta
         if t.alpha <= theta:
@@ -332,11 +334,10 @@ def marcinkiewicz_norm(x: MuLike, window: int = 65536) -> NormValue:
     if math.isinf(head_total):
         raise OverflowError("the m1inf mass over the window exceeds the double range")
     if t.alpha > 1.0:
-        # whole remaining mass: the explicit sum over [W, start) plus the
-        # bracketed tail from start, its target relative to the unit-scale mass
-        start, rem = choose_tail_start(t.alpha, t.beta, max(W, len(mu.values)), max(1e-9, 1e-6 * head_total / t.scale))
-        gap = explicit_sum(lambda ks: mu.head(int(ks[-1]) + 1, int(ks[0])), W, start, lambda v, ks: v)
-        beyond = (head_total + gap + rem.scaled(t.scale).hi) / math.log(2.0 + W)
+        # whole remaining mass past the window, its tail target relative to
+        # the unit-scale mass
+        _, gap, rem = series(mu, lambda v, ks: v, W, tol=max(1e-9, 1e-6 * head_total / t.scale))
+        beyond = (head_total + gap + rem.hi) / math.log(2.0 + W)
     else:
         # alpha = 1, beta = 0: partial sums are scale*(H at the index) up to the
         # head/profile offset; H_{n+1} <= log(n+2) + gamma + 1 bounds the ratio.
@@ -358,8 +359,12 @@ def sum_space_quasinorm(x: MuLike, window: int = 65536) -> NormValue:
         mu(0, x) <= |x1|_sup + |x2|_sup <= |x1|_weak + |x2|_sup,
 
     and the split x1 = 0, x2 = x attains the bound.  The value is therefore
-    exact (half-width 0) for finite and analytic inputs alike.
+    exact (half-width 0) for finite and analytic inputs alike.  A power-log
+    x is read at its peak, on an index array as its sorted head reads it.
     """
+    if isinstance(x, PowerLogSequence):
+        top = abs(float(x.values_at(np.arange(x.peak_index, x.peak_index + 1))[0]))
+        return _from_bracket(Bracket(top, top), window)
     mu = decreasing_rearrangement(x)
     return NormValue(mu.value_at(0), 0.0, mu.read_window(window))
 

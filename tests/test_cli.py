@@ -267,13 +267,15 @@ def test_norm_lp2_of_a_slowly_decaying_profile_keeps_memory_bounded(tmp_path):
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
 @pytest.mark.parametrize(
     "beta, space, code, value",
-    [(16.0, "lp:2", 1, None), (5.0, "weak_l1", 0, "Infinity"), (5.0, "m1inf", 0, "Infinity")],
-    ids=["lp2_peak_at_e16", "weak_l1_divergent", "m1inf_divergent"],
+    [(16.0, "lp:2", 1, None), (5.0, "weak_l1", 0, "Infinity"), (5.0, "m1inf", 0, "Infinity"),
+     (5.5, "sum", 0, 48.43665593174491)],
+    ids=["lp2_peak_at_e16", "weak_l1_divergent", "m1inf_divergent", "sum_late_settle"],
 )
 def test_power_log_shape_is_read_before_any_head_is_built(tmp_path, beta, space, code, value):
     # power_log(1, 16) peaks near index e^16 and never settles under the cap;
-    # power_log(1, 5) settles near 5.7e6 yet diverges in both sups: both answers
-    # come from (alpha, beta) alone, without an index array of that length
+    # power_log(1, 5) settles near 5.7e6 yet diverges in both sups, and
+    # power_log(1, 5.5) settles near 5.8e7, where `sum` reads its peak: each
+    # answer comes from (alpha, beta) alone, without an index array of that length
     p = tmp_path / "late.json"
     p.write_text(json.dumps({"kind": "power_log", "alpha": 1.0, "beta": beta}))
     got, out, peak_kb = _run_with_peak(["norm", "--space", space, "--in", str(p)])
@@ -605,6 +607,49 @@ def test_fnorm_with_witnesses_scaled_near_the_double_range_prints_no_warning(tmp
     assert "RuntimeWarning" not in done.stderr and done.stderr == ""
     doc = json.loads(done.stdout)
     assert doc["upper"] == upper and doc["witness"]["window_verified"] is True
+
+
+def _run_cold(argv: list) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-W", "default", "-m", "calderon.cli", *argv],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+
+
+def _power_log_file(tmp_path, alpha, beta, scale) -> str:
+    p = tmp_path / "edge.json"
+    p.write_text(json.dumps({"kind": "power_log", "alpha": alpha, "beta": beta, "scale": scale}))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, scale, verb",
+    [(1.05, 1.0, 2.6e307, ["norm", "--space", "weak_l1"]),
+     (1.001, 1.0, 1e306, ["norm", "--space", "m1inf"]),
+     (1.5, 6.0, 7e307, ["norm", "--space", "weak_l1"]),
+     (1.5, 6.0, 7e307, ["norm", "--space", "sum"]),
+     (1.5, 6.0, 7e307, ["norm", "--space", "llog"]),
+     (1.5, 6.0, 7e307, ["optrange", "member-weakl1"]),
+     (1.5, 6.0, 7e307, ["optrange", "fnorm"]),
+     (1.05, 2.0, 1e308, ["optrange", "fnorm"])],
+    ids=["weak_l1_tail_sup", "m1inf_beyond_window", "weak_l1_inf_head", "sum_inf_peak", "llog_inf_head",
+         "member_inf_head", "fnorm_inf_head", "fnorm_c_a_tail_sup"],
+)
+def test_convergent_power_log_beyond_the_double_range_is_not_certified(tmp_path, alpha, beta, scale, verb):
+    # alpha > 1: each value is finite in fact, so inf would falsely read as
+    # divergence; the value only exceeds the double range
+    done = _run_cold(verb + ["--in", _power_log_file(tmp_path, alpha, beta, scale)])
+    assert done.returncode == 1 and "could not certify" in done.stderr
+    assert not any(word in done.stdout for word in ("Infinity", "NaN", "diverges"))
+    assert "RuntimeWarning" not in done.stderr
+
+
+@pytest.mark.parametrize("space, value", [("llog", 1.3414872572509128e+308),
+                                          ("lorentz:log1p", 9.849179985900167e+307)])
+def test_summed_norm_just_below_the_largest_double_prints_its_value(tmp_path, space, value):
+    # 1e308 zeta(2.5) is a double: the midpoint of its bracket must not overflow
+    done = _run_cold(["norm", "--space", space, "--in", _power_log_file(tmp_path, 1.5, 0.0, 1e308)])
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["value"] == value
 
 
 def test_optrange_verify_subsuite(capsys, tmp_path):

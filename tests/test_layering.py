@@ -8,8 +8,8 @@ integral, so that `import calderon` and a CLI call that reaches no tail load
 numpy only.
 
 Every series over a rearrangement is read through `sequences.series`, the one
-caller of `brackets.tail_sum`; only the two tails with their own target (the
-m1inf mass and the log1p split) choose a start themselves.
+caller of `brackets.choose_tail_start`: a norm with its own target (the m1inf
+mass, the log1p split) passes it to `series` and chooses no start itself.
 
 The harmonic witness is written once: only `sequences` holds the H_m formula
 (the one user of Euler's constant), and H_m and the image S a are read on
@@ -35,8 +35,7 @@ SRC = Path(calderon.__file__).resolve().parent
 REPORT_IMPORTERS = {"suites", "cli", "__init__"}
 CASE_BUILDERS = {"report", "suites"}
 SCIPY_USERS = {("brackets", "powerlog_tail")}
-TAIL_SUM_CALLERS = {("sequences", "series")}
-TAIL_START_CHOOSERS = {("brackets", "tail_sum"), ("spaces", "marcinkiewicz_norm"), ("spaces", "lorentz_phi_norm")}
+TAIL_START_CHOOSERS = {("sequences", "series")}
 HARMONIC_FORMULAS = {"harmonic_number", "harmonic_calderon_closed_form"}
 KIND_WRITERS = {"sequences"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -229,18 +228,16 @@ def _names(tree) -> set:
 
 def test_tail_rules_are_called_only_where_the_reading_policy_allows():
     modules = _modules()
-    tail_sum = {(m, f) for m, tree in modules for f in _callers(tree, "tail_sum")}
-    assert tail_sum == TAIL_SUM_CALLERS
     choose = {(m, f) for m, tree in modules for f in _callers(tree, "choose_tail_start")}
     assert choose == TAIL_START_CHOOSERS
     assert all("_mu_head" not in _names(tree) for _, tree in modules)
 
 
 def test_caller_detector_sees_plain_attribute_and_nested_calls():
-    tree = ast.parse("def f():\n    def g():\n        return brackets.tail_sum(1)\n"
-                     "def h():\n    tail_sum(2)\ntail_sum(3)\n")
-    assert _callers(tree, "tail_sum") == {"f", "h", None}
-    assert not _callers(ast.parse("tail_sums(1)\nx = tail_sum\n"), "tail_sum")
+    tree = ast.parse("def f():\n    def g():\n        return brackets.choose_tail_start(1)\n"
+                     "def h():\n    choose_tail_start(2)\nchoose_tail_start(3)\n")
+    assert _callers(tree, "choose_tail_start") == {"f", "h", None}
+    assert not _callers(ast.parse("choose_tail_starts(1)\nx = choose_tail_start\n"), "choose_tail_start")
 
 
 

@@ -44,7 +44,7 @@ from calderon.sequences import (
     sequence_from_json,
     sequence_to_json,
 )
-from calderon import optimal_range
+from calderon import optimal_range, spaces
 from calderon.suites import CONTAINMENT_TOL, image_escapes
 from calderon.spaces import LLOG, LOG1P, M1INF, WEAK_L1, SpaceSpec, axiom_check, lp_space, space_norm
 
@@ -272,6 +272,23 @@ def test_f_of_harmonic_profile_is_half_two_sided():
 def test_f_raises_for_certified_non_member():
     with pytest.raises(NoWitnessFoundError, match="no witness exists"):
         f_norm_upper(power_log(1.0, 2.0), WEAK_L1)
+
+
+@pytest.mark.parametrize("x", [finite([3.0, -1.0, 0.5]), power_log(1.5, 4.0, 0.37), finite([1e308] * 3)],
+                         ids=["finite", "long_head", "c_a_beyond_double_range"])
+def test_f_over_weak_l1_reads_mu_of_x_once(monkeypatch, x):
+    # the floor c_a(x) log 2 / 2 is read on the mu(x) the search uses, and at
+    # mu(x)/4 where c_a(x) exceeds the double range
+    reads = []
+
+    def spy(y):
+        reads.extend([y] if y is x else [])
+        return decreasing_rearrangement(y)
+
+    for module in (optimal_range, spaces):
+        monkeypatch.setattr(module, "decreasing_rearrangement", spy)
+    est = f_norm_upper(x, WEAK_L1)
+    assert len(reads) == 1 and 0.0 < est.lower <= est.upper
 
 
 def test_f_of_log_profile_has_unit_harmonic_witness():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import zeta
 
-from calderon import brackets, optimal_range, spaces
+from calderon import brackets, optimal_range, sequences, spaces
 from calderon.brackets import TAIL_CAP, TAIL_TOL, DivergentTailError, explicit_sum, stored_profile
 from calderon.families import POWER_LOG_GRID
 from calderon.operators import calderon
@@ -322,6 +322,77 @@ def test_tail_bracket_contains_oracle_for_weighted_tail_at_the_cap():
     assert lo * (1.0 - 1e-12) <= got.hi
 
 
+# profiles whose sorted head is longer than the windows 16 and 64: mu(x) on
+# [0, ORACLE_N) is the sorted |x| there, since x settles well before
+# ORACLE_N and decreases past it
+
+
+LONG_HEADS = [(1.5, 4.0, 0.37), (2.0, 6.0, 0.37), (1.2, 5.0, 1.0)]
+
+
+def _oracle_mu(alpha, beta, scale):
+    vals = _profile(alpha, beta, scale, np.arange(ORACLE_N, dtype=np.float64), np)
+    mu = np.sort(vals)[::-1]
+    settled = ORACLE_N // 2
+    assert np.array_equal(mu[settled:], vals[settled:]) and np.all(np.diff(vals[settled:]) < 0)
+    return mu
+
+
+def _oracle_m1inf(alpha, beta, scale):
+    """[lo, hi] around sup_n (sum_{k<=n} mu(k)) / log(2+n): the partial sums
+    exactly below ORACLE_N; past it, on a grid of log n with step 1/64, the
+    partial sums bracketed by the integral test with the integral of
+    log(u+1)**beta / (u+1)**alpha in closed form (mpmath), until the whole
+    mass over log(2+n) falls below lo."""
+    import mpmath
+
+    csum = np.cumsum(_oracle_mu(alpha, beta, scale), dtype=np.longdouble)
+    lo = hi = float(np.max(csum / np.log(np.arange(ORACLE_N) + 2.0)))
+    N, C, a1 = ORACLE_N, float(csum[-1]), alpha - 1.0
+    first = float(_profile(alpha, beta, scale, mpmath.mpf(N), mpmath))
+    fac = (math.log(N + 2.0) / math.log(N + 1.0)) ** beta  # log(u+2)/log(u+1) on u >= N
+
+    def integral(t):  # int_N^t scale log(u+1)**beta / (u+1)**alpha du
+        g = mpmath.gammainc(beta + 1, a1 * mpmath.log(N + 1), a1 * mpmath.log(t + 1))
+        return float(scale * g / a1 ** (beta + 1))
+
+    total_hi = C + first + fac * integral(mpmath.inf)
+    n, step = N, math.exp(1.0 / 64.0)
+    while total_hi / math.log(2.0 + n) > lo:
+        nxt = math.floor(n * step)
+        lo = max(lo, (C + integral(n + 1)) / math.log(2.0 + n))
+        hi = max(hi, (C + first + fac * integral(nxt)) / math.log(2.0 + n))
+        n = nxt
+    return lo, hi
+
+
+@pytest.mark.parametrize("alpha, beta, scale", LONG_HEADS)
+def test_m1inf_bracket_of_a_long_sorted_head_contains_oracle(alpha, beta, scale):
+    lo, hi = _oracle_m1inf(alpha, beta, scale)
+    assert hi <= lo * (1.0 + 1e-2)
+    for window in (16, 64):
+        got = marcinkiewicz_norm(power_log(alpha, beta, scale), window)
+        assert got.value - got.tail_halfwidth <= hi * (1.0 + 1e-12), window
+        assert lo * (1.0 - 1e-12) <= got.value + got.tail_halfwidth, window
+
+
+@pytest.mark.parametrize("alpha, beta, scale", LONG_HEADS)
+def test_log1p_bracket_of_a_long_sorted_head_contains_oracle(alpha, beta, scale):
+    import mpmath
+
+    def term(v, u, xp):
+        return v * xp.log1p(1 / (u + 1))
+
+    mu = _oracle_mu(alpha, beta, scale)
+    head = math.fsum(term(mu, np.arange(ORACLE_N, dtype=np.float64), np).tolist())
+    rest = mpmath.quad(lambda t: term(_profile(alpha, beta, scale, t, mpmath), t, mpmath), [ORACLE_N, mpmath.inf])
+    last = term(_profile(alpha, beta, scale, mpmath.mpf(ORACLE_N), mpmath), ORACLE_N, mpmath)
+    lo, hi = head + float(rest), head + float(rest + last)
+    got = lorentz_phi_norm(power_log(alpha, beta, scale), LOG1P, 16)
+    assert got.value - got.tail_halfwidth <= hi * (1.0 + 1e-12)
+    assert lo * (1.0 - 1e-12) <= got.value + got.tail_halfwidth
+
+
 @pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 129, 10_003])
 def test_blocked_explicit_sum_equals_one_numpy_sum_bitwise(monkeypatch, n):
     # blocks split where numpy's pairwise summation splits, so the bits agree;
@@ -406,7 +477,7 @@ def test_tail_starts_stay_below_the_cap_far_from_scale_one(monkeypatch, case):
         starts.append(start)
         return start, rem
 
-    for module in (brackets, spaces):
+    for module in (brackets, sequences):
         monkeypatch.setattr(module, "choose_tail_start", spy)
     {
         "fnorm-lp2-recheck": lambda: f_norm_upper(finite([1e8, 5e7, 3.3e7]), lp_space(2.0)),
@@ -425,7 +496,7 @@ def test_log1p_norm_of_a_power_log_input_chooses_one_tail_start(monkeypatch):
         calls.append(kwargs.get("shift_power"))
         return choose(*args, **kwargs)
 
-    for module in (brackets, spaces):
+    for module in (brackets, sequences):
         monkeypatch.setattr(module, "choose_tail_start", spy)
     for alpha, beta, scale in ((1.0, 0.0, 1.0), (1.5, 1.0, 0.37), (2.0, 2.0, 3.0), (1.2, 4.0, 1.0)):
         calls.clear()
