@@ -42,7 +42,14 @@ on an (alpha, beta) grid at a negative scale.  Long heads and the double
 range: m1inf and lorentz:log1p at windows 16 and 64 on profiles whose sorted
 head is longer than the window, `sum` of `power_log(1, 5)`, and convergent
 power-log inputs whose values or sups only overflow the double range (each
-records an `OverflowError` where its value is not a double).
+records an `OverflowError` where its value is not a double).  Operators:
+`calderon` of the rearranged finite inputs (a finite mu read past its
+support), both Hilbert routes on 4096 normal entries of the line, and both
+Hilbert routes and both `calderon` routes on [1e308, -1e308, 1e308] and
+[1e308]*3, value by value.  Power-log arithmetic: the head, weak-l1 norm
+and membership of power_log(1e300, 1e300) and power_log(1e6, 1), and
+`calderon` of power_log(0.5, 40), whose tail starts near 4e11 (a call still
+summing after 5 s is recorded as `Unbounded`).
 
 Sums whose decay exponent lies in (1, 2) are left out: there the explicit
 sum runs toward the 2^24-term cap and a single call takes seconds.  The
@@ -57,17 +64,20 @@ Usage:
 import argparse
 import hashlib
 import json
+import signal
 import sys
 
 import numpy as np
 
 from calderon.brackets import ratio_profile_sup
-from calderon.operators import calderon
+from calderon.operators import METHOD_FAST, METHOD_NAIVE, calderon, calderon_min_kernel, hilbert_symmetric
 from calderon.optimal_range import (
     GENERATORS, GridConfig, _candidate_scale, check_domination, f_norm_upper, harmonic_calderon_closed_form,
     weak_l1_membership,
 )
-from calderon.sequences import decreasing_rearrangement, finite, harmonic_number, harmonic_numbers, power_log, weighted_tail_sum
+from calderon.sequences import (
+    IndexDomain, decreasing_rearrangement, finite, harmonic_number, harmonic_numbers, power_log, weighted_tail_sum,
+)
 from calderon.spaces import LLOG, LOG1P, M1INF, SUM_SPACE, WEAK_L1, PhiTemplate, SpaceSpec, lp_space, space_norm
 
 ALPHAS = (0.6, 0.8, 1.0, 1.1, 1.5, 2.0, 2.5, 3.0)
@@ -183,6 +193,32 @@ def estimate_digest(est) -> list:
 
 def image_doc(out) -> list:
     return [digest(out.window_values), digest(out.tail_halfwidth_per_index)]
+
+
+def values_doc(values: np.ndarray) -> list:
+    """Every value of a short operator image or head, as repr."""
+    return [repr(float(v)) for v in values]
+
+
+class Unbounded(Exception):
+    pass
+
+
+def bounded(fn, seconds: int = 5):
+    """fn() under a wall-clock alarm: a call that sums without bound is
+    recorded as the error `Unbounded` after `seconds`."""
+    def stop(signum, frame):
+        raise Unbounded()
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        return fn()
+    except Unbounded:
+        return {"error": "Unbounded"}
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def main() -> int:
@@ -346,6 +382,27 @@ def main() -> int:
         x = power_log(a, b, s)
         record(out, f"edge/member/pl({a},{b},{s:g})", lambda: member_doc(weak_l1_membership(x)))
         record(out, f"edge/fnorm/weak_l1/pl({a},{b},{s:g})", lambda: fnorm_json(x, WEAK_L1))
+
+    # a finite mu read past its support, and the operators at the double range
+    for name, x in fins.items():
+        record(out, f"calderon/mu/{name}", lambda: image_doc(calderon(decreasing_rearrangement(x), 4096)))
+    line = finite(np.random.default_rng(101).standard_normal(4096), -2048, IndexDomain.LINE)
+    for method in (METHOD_NAIVE, METHOD_FAST):
+        record(out, f"hilbert/normal4096/{method}", lambda: image_doc(hilbert_symmetric(line, 4096, method)))
+    big = {"line": finite([1e308, -1e308, 1e308], 0, IndexDomain.LINE), "half": finite([1e308] * 3)}
+    for name, x in big.items():
+        for method in (METHOD_NAIVE, METHOD_FAST):
+            record(out, f"edge/hilbert/{name}/{method}",
+                   lambda: values_doc(hilbert_symmetric(x, 4, method).window_values))
+    for route in (calderon, calderon_min_kernel):
+        record(out, f"edge/{route.__name__}/half", lambda: values_doc(route(big["half"], 4).window_values))
+    # power-log arithmetic past the double range, and a tail start past the scan cap
+    for a, b in ((1e300, 1e300), (1e6, 1.0)):
+        x = power_log(a, b)
+        record(out, f"edge/rearrange/pl({a:g},{b:g})", lambda: values_doc(decreasing_rearrangement(x).head(16)))
+        record(out, f"edge/weak_l1/pl({a:g},{b:g})", lambda: norm_doc(space_norm(WEAK_L1, x, 16)))
+        record(out, f"edge/member/pl({a:g},{b:g})", lambda: member_doc(weak_l1_membership(x, 16)))
+    record(out, "edge/calderon/pl(0.5,40)/w16", lambda: bounded(lambda: image_doc(calderon(power_log(0.5, 40.0), 16))))
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)

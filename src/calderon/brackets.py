@@ -103,7 +103,10 @@ def powerlog_tail(
 
     U = start + 1
     lam = s - 1.0
-    I = float(_sp.gammaincc(beta + 1.0, lam * math.log(U)) * _sp.gamma(beta + 1.0)) / lam ** (beta + 1.0)
+    Q = float(_sp.gammaincc(beta + 1.0, lam * math.log(U))) * float(_sp.gamma(beta + 1.0))
+    if not math.isfinite(Q):
+        raise OverflowError(f"tail integral of (alpha={alpha}, beta={beta}) exceeds the double range")
+    I = Q / lam ** (beta + 1.0)
     phi = math.log(U) ** beta * float(U) ** (-s)
     fac = (math.log(start + 2) / math.log(start + 1)) ** beta
     if harmonic_weight:
@@ -193,13 +196,19 @@ def powerlog_profile(k, alpha: float, beta: float, scale: float):
     rescale is exact, so the values are those of the direct formula wherever
     that formula stays inside the double range, and inf, unwarned, beyond.
     Below 2**512 only a log factor above 2**512 could overflow the product,
-    and the direct formula is kept: it saves a pass over k."""
+    and the direct formula is kept: it saves a pass over k.  A power that
+    overflows in both factors leaves inf / inf, no value at all: that
+    raises OverflowError."""
     k = np.asarray(k, dtype=np.float64)
-    if abs(scale) < 2.0 ** 512:
-        return scale * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha
-    m, e = math.frexp(scale)
-    with np.errstate(over="ignore"):
-        return np.ldexp(m * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha, e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if abs(scale) < 2.0 ** 512:
+            v = scale * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha
+        else:
+            m, e = math.frexp(scale)
+            v = np.ldexp(m * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha, e)
+    if np.isnan(v).any():
+        raise OverflowError(f"power-log profile (alpha={alpha}, beta={beta}) exceeds the double range")
+    return v
 
 
 def profile_grows(a: float, b: float) -> bool:

@@ -121,18 +121,22 @@ def _write_json(fh: IO[str], doc) -> None:
     fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _emit_operator_output(out: OperatorOutput, fmt: str, fh: IO[str]) -> None:
-    idx = out.indices()
-    if fmt == "csv":
-        emit_values_csv(idx, out.window_values, out.tail_halfwidth_per_index, fh)
-    else:
-        # both arrays are float64, so tolist() yields the same Python floats
-        _write_json(fh, {
-            "offset": int(out.offset),
-            "values": out.window_values.tolist(),
-            "tail_halfwidth": out.tail_halfwidth_per_index.tolist(),
-            "evaluation_method": out.evaluation_method,
-        })
+def _emit_operator_output(out: OperatorOutput, args) -> None:
+    """Write an operator image; OverflowError, before any output is opened,
+    when a value or half-width is not a double."""
+    if not (np.all(np.isfinite(out.window_values)) and np.all(np.isfinite(out.tail_halfwidth_per_index))):
+        raise OverflowError("an operator value exceeds the double range")
+    with _open_out(args.out) as fh:
+        if args.format == "csv":
+            emit_values_csv(out.indices(), out.window_values, out.tail_halfwidth_per_index, fh)
+        else:
+            # both arrays are float64, so tolist() yields the same Python floats
+            _write_json(fh, {
+                "offset": int(out.offset),
+                "values": out.window_values.tolist(),
+                "tail_halfwidth": out.tail_halfwidth_per_index.tolist(),
+                "evaluation_method": out.evaluation_method,
+            })
 
 
 def _global_flags(ap: argparse.ArgumentParser, suppress: bool) -> None:
@@ -289,8 +293,7 @@ def _cmd_norm(args) -> int:
 def _cmd_calderon(args) -> int:
     x = _load_sequence(args.infile)
     out = calderon_min_kernel(x, args.window) if args.min_kernel else calderon(x, args.window)
-    with _open_out(args.out) as fh:
-        _emit_operator_output(out, args.format, fh)
+    _emit_operator_output(out, args)
     return 0
 
 
@@ -303,8 +306,7 @@ def _cmd_hilbert(args) -> int:
         out = hilbert_symmetric(x, args.window, method)
     else:
         out = hilbert(x, args.lo, args.hi, method)
-    with _open_out(args.out) as fh:
-        _emit_operator_output(out, args.format, fh)
+    _emit_operator_output(out, args)
     return 0
 
 

@@ -105,7 +105,8 @@ def calderon(x: MuLike, window: int) -> OperatorOutput:
         w[1:] = ld[1:] / np.arange(1, window, dtype=np.longdouble)
     total = np.sum(w)
     suffix = total - np.cumsum(w)
-    values = (head + suffix + beyond.mid).astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value above the double range reads inf
+        values = (head + suffix + beyond.mid).astype(np.float64)
     hw = np.full(window, float(beyond.halfwidth))
     return OperatorOutput(0, values, hw, METHOD_FAST)
 
@@ -125,10 +126,11 @@ def calderon_min_kernel(x: MuLike, window: int) -> OperatorOutput:
     ks = np.arange(K, dtype=np.float64)
     values = np.empty(window, dtype=np.float64)
     block = KERNEL_BLOCK // K
-    for b0 in range(0, window, block):
-        ns = np.arange(b0, min(b0 + block, window), dtype=np.float64)
-        values[b0 : b0 + len(ns)] = kernel_values(ns[:, None], ks) @ dense
-    values += beyond.mid
+    with np.errstate(over="ignore", invalid="ignore"):  # a value above the double range reads inf
+        for b0 in range(0, window, block):
+            ns = np.arange(b0, min(b0 + block, window), dtype=np.float64)
+            values[b0 : b0 + len(ns)] = kernel_values(ns[:, None], ks) @ dense
+        values += beyond.mid
     hw = np.full(window, float(beyond.halfwidth))
     return OperatorOutput(0, values, hw, METHOD_NAIVE)
 
@@ -207,9 +209,12 @@ def hilbert(
     """(H x)(n) for n in [out_lo, out_hi] (inclusive).
 
     Finite supports are summed exactly (naive) or via zero-padded FFT linear
-    convolution (fast).  Analytic half-line inputs are truncated at
-    analytic_window and every output index carries the certified truncation
-    half-width (2/pi) * sum_{k>=W} x(k)/k.
+    convolution (fast).  Both routes transform x / 2**e, e the exponent of
+    max |x|, and rescale once: H is linear and the rescale exact, so no
+    partial sum overflows, and a value above the double range reads inf.
+    Analytic half-line inputs are truncated at analytic_window and every
+    output index carries the certified truncation half-width
+    (2/pi) * sum_{k>=W} x(k)/k.
     """
     if out_lo > out_hi:
         raise ValueError("output window is empty")
@@ -238,10 +243,10 @@ def hilbert(
     conv_len = n_out + len(x.values)
     if conv_len > (1 << 27):
         raise ValueError(f"convolution length {conv_len} exceeds the size limit 2^27")
-    if method == METHOD_NAIVE:
-        vals = _hilbert_finite_naive(x.values, x.offset, out_lo, out_hi)
-    else:
-        vals = _hilbert_finite_fast(x.values, x.offset, out_lo, out_hi)
+    e = math.frexp(float(np.max(np.abs(x.values))))[1]
+    route = _hilbert_finite_naive if method == METHOD_NAIVE else _hilbert_finite_fast
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(route(np.ldexp(x.values, -e), x.offset, out_lo, out_hi), e)
     hw = np.full(n_out, hw_uniform)
     return OperatorOutput(out_lo, vals, hw, method)
 

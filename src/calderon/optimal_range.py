@@ -52,7 +52,6 @@ from .sequences import (
     IndexDomain,
     MuLike,
     PowerLogSequence,
-    PowerLogTail,
     Rearrangement,
     Sequence,
     add_scaled,
@@ -236,8 +235,7 @@ def check_domination(x: MuLike, y: MuLike, window: int) -> DominationCertificate
     mu_x = decreasing_rearrangement(x)
     window = mu_x.read_window(window)
     n = _domination_length(mu_x, window)
-    with np.errstate(over="ignore"):  # an image entry that rounds to inf: see _candidate_scale
-        s = calderon(decreasing_rearrangement(y), n)
+    s = calderon(decreasing_rearrangement(y), n)
     ratios, tail_sup, tail_argument = _domination(
         mu_x, y, s.window_values + s.tail_halfwidth_per_index, n
     )
@@ -288,8 +286,7 @@ def _candidate_scale(
         else:
             # An image entry that rounds to inf stands for a true S value above
             # the double range: the largest double is a lower end of it.
-            with np.errstate(over="ignore"):
-                out = calderon(decreasing_rearrangement(shape), n)
+            out = calderon(decreasing_rearrangement(shape), n)
             s_lo = np.minimum(out.window_values - out.tail_halfwidth_per_index, np.finfo(float).max)
         if float(np.min(s_lo)) <= 0.0:
             return math.inf, "witness image not positive on window"
@@ -321,8 +318,7 @@ def _scaled_shape(shape: MuLike, c: float) -> MuLike:
         return finite(shape.values * c, shape.offset, shape.domain)
     if isinstance(shape, Rearrangement):
         t = shape.tail
-        tail = t if t.is_zero else PowerLogTail(t.alpha, t.beta, t.scale * c)
-        return Rearrangement(shape.values * c, tail)
+        return Rearrangement(shape.values * c, PowerLogSequence(t.alpha, t.beta, t.scale * c))
     raise TypeError(f"not a shape: {type(shape)!r}")
 
 

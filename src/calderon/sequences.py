@@ -14,15 +14,16 @@ Two concrete representations cover everything the package computes with:
 The decreasing rearrangement mu(x) lists |x(k)| in nonincreasing order.  For
 the power-log family the profile rises to a peak bisected from (alpha, beta)
 and then falls, so from the first index past the peak where it is at most
-|x(0)| the rearrangement is the profile itself; a Rearrangement stores the
-sorted head before that index and the analytic tail.
+|x(0)| the rearrangement is the profile itself.  A Rearrangement stores the
+sorted head before that index and, as its tail, the profile at |scale|; a
+finite mu has the tail ZERO_TAIL, the profile at scale 0.
 H_m has one formula, read at an index or an index array by `harmonic_number`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from typing import Optional, Union
@@ -181,48 +182,20 @@ def power_log(alpha: float, beta: float, scale: float = 1.0) -> PowerLogSequence
 # decreasing rearrangement
 
 
-class ZeroTail:
-    """Tail of a rearrangement that is exactly zero."""
-
-    is_zero = True
-
-    def values_at(self, k) -> np.ndarray:
-        return np.zeros_like(np.asarray(k, dtype=np.float64))
-
-    def __eq__(self, other):
-        return isinstance(other, ZeroTail)
-
-    def __hash__(self):
-        return hash("ZeroTail")
-
-    def __repr__(self):
-        return "ZeroTail()"
-
-
-@dataclass(frozen=True)
-class PowerLogTail(PowerLogSequence):
-    """Analytic rearrangement tail: the power-log profile at absolute index k,
-    with a nonnegative scale."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.scale < 0:
-            raise ValueError("rearrangement tail scale must be nonnegative")
-
-
-Tail = Union[ZeroTail, PowerLogTail]
+ZERO_TAIL = PowerLogSequence(1.0, 0.0, 0.0)  # the tail of a finite mu
 
 
 @dataclass(frozen=True)
 class Rearrangement:
-    """Decreasing rearrangement: a sorted nonincreasing head plus a tail model.
+    """Decreasing rearrangement: a sorted nonincreasing head plus a tail, a
+    power-log profile at scale >= 0 (ZERO_TAIL for a finite mu).
 
-    The head is valid verbatim; for analytic tails the profile formula gives
-    mu(k) exactly for every k >= len(values).
+    The head is valid verbatim; the tail gives mu(k) exactly for every
+    k >= len(values).  A tail's shape is read only where it is not zero.
     """
 
     values: np.ndarray
-    tail: Tail = field(default_factory=ZeroTail)
+    tail: PowerLogSequence = ZERO_TAIL
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -234,7 +207,9 @@ class Rearrangement:
                 raise InvariantError("rearrangement values must be nonnegative")
             if np.any(np.diff(v) > 0):
                 raise InvariantError("rearrangement head must be nonincreasing")
-        if isinstance(self.tail, PowerLogTail) and v.size:
+        if self.tail.scale < 0:
+            raise ValueError("rearrangement tail scale must be nonnegative")
+        if not self.tail.is_zero and v.size:
             edge = float(self.tail.values_at(np.float64(len(v))))
             if math.isinf(edge):
                 raise OverflowError("power-log tail value exceeds the double range")
@@ -250,10 +225,12 @@ class Rearrangement:
         return max(window, len(self.values)) if self.tail.is_zero else window
 
     def head(self, n: int) -> np.ndarray:
-        """Rearranged values at the indices 0, ..., n - 1."""
-        if n <= len(self.values):
+        """Rearranged values at the indices 0, ..., n - 1: a finite mu is
+        padded with zeros, an analytic one read from its profile."""
+        W = len(self.values)
+        if n <= W:
             return self.values[:n]
-        ext = self.tail.values_at(np.arange(len(self.values), n))
+        ext = np.zeros(n - W) if self.tail.is_zero else self.tail.values_at(np.arange(W, n))
         return np.concatenate([self.values, ext])
 
     def value_at(self, n: int) -> float:
@@ -264,9 +241,7 @@ class Rearrangement:
     def equals(self, other: "Rearrangement") -> bool:
         a, b = self.values, other.values
         n = max(len(a), len(b))
-        return bool(np.array_equal(self.head(n), other.head(n))) and (
-            type(self.tail) is type(other.tail) and self.tail == other.tail
-        )
+        return bool(np.array_equal(self.head(n), other.head(n))) and self.tail == other.tail
 
 
 def _powerlog_settle_index(x: PowerLogSequence) -> int:
@@ -301,14 +276,14 @@ def decreasing_rearrangement(x: MuLike) -> Rearrangement:
         vals = np.sort(np.abs(x.values))[::-1]
         nz = np.nonzero(vals)[0]
         vals = vals[: (int(nz[-1]) + 1) if nz.size else 0]
-        return Rearrangement(vals.copy(), ZeroTail())
+        return Rearrangement(vals.copy())
     if isinstance(x, PowerLogSequence):
         if x.is_zero:
-            return Rearrangement(np.empty(0), ZeroTail())
+            return Rearrangement(np.empty(0))
         settle = _powerlog_settle_index(x)
         head_len = max(settle, 8)
         head = np.sort(np.abs(x.values_at(np.arange(head_len))))[::-1]
-        return Rearrangement(head.copy(), PowerLogTail(x.alpha, x.beta, abs(x.scale)))
+        return Rearrangement(head.copy(), power_log(x.alpha, x.beta, abs(x.scale)))
     raise TypeError(f"not a sequence: {type(x)!r}")
 
 
@@ -332,7 +307,7 @@ def dilate(x: Union[FiniteSequence, Rearrangement], m: int):
             raise DomainMismatchError(
                 "dilation of an analytic tail is not closed in the family; materialize a window first"
             )
-        return Rearrangement(np.repeat(x.values, m), ZeroTail())
+        return Rearrangement(np.repeat(x.values, m))
     if isinstance(x, PowerLogSequence):
         raise DomainMismatchError(
             "dilation of the power-log family is not closed in the family; materialize a window first"
@@ -393,13 +368,16 @@ def series(mu: Rearrangement, term, first: int = 0, power: float = 1.0, tol: flo
     bracket beyond.  A finite mu is read on its whole support (rem is zero);
     an analytic tail is closed by the tail policy of `brackets` at target
     tol, so term(mu(k), k) must be its power-log profile to the `power`,
-    times the weights in `tail`."""
+    times the weights in `tail`.  HeadResolutionError when that tail starts
+    past HEAD_SCAN_CAP, the bound a power-log head obeys."""
     W = len(mu.values)
     head = explicit_sum(stored_profile(mu.values), first, W, term)
     t = mu.tail
     if t.is_zero:
         return max(first, W), head, ZERO_BRACKET
     start, rem = choose_tail_start(t.alpha * power, t.beta * power, max(first, W), tol, **tail)
+    if start > HEAD_SCAN_CAP:
+        raise HeadResolutionError(f"tail of (alpha={t.alpha}, beta={t.beta}) starts beyond the scan cap")
     gap = explicit_sum(t.values_at, max(first, W), start, term)
     return start, head + gap, rem.scaled(t.scale ** power)
 
@@ -424,7 +402,7 @@ def weighted_tail_sum(x: MuLike, n: int) -> Bracket:
         total = explicit_sum(stored_profile(x.values, x.offset), a, x.end, _over_k)
         return Bracket(total, total)
     if isinstance(x, PowerLogSequence):
-        b = weighted_tail_sum(Rearrangement(np.empty(0), PowerLogTail(x.alpha, x.beta, abs(x.scale))), n)
+        b = weighted_tail_sum(Rearrangement(np.empty(0), power_log(x.alpha, x.beta, abs(x.scale))), n)
         return b if x.scale >= 0 else Bracket(-b.hi, -b.lo)
     if not isinstance(x, Rearrangement):
         raise TypeError(f"not a sequence: {type(x)!r}")

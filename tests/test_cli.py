@@ -609,10 +609,10 @@ def test_fnorm_with_witnesses_scaled_near_the_double_range_prints_no_warning(tmp
     assert doc["upper"] == upper and doc["witness"]["window_verified"] is True
 
 
-def _run_cold(argv: list) -> subprocess.CompletedProcess:
+def _run_cold(argv: list, timeout: float = 300) -> subprocess.CompletedProcess:
     src = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-W", "default", "-m", "calderon.cli", *argv],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=timeout)
 
 
 def _power_log_file(tmp_path, alpha, beta, scale) -> str:
@@ -641,6 +641,43 @@ def test_convergent_power_log_beyond_the_double_range_is_not_certified(tmp_path,
     assert done.returncode == 1 and "could not certify" in done.stderr
     assert not any(word in done.stdout for word in ("Infinity", "NaN", "diverges"))
     assert "RuntimeWarning" not in done.stderr
+
+
+HALF_1E308 = {"kind": "finite", "domain": "half_line", "offset": 0, "values": [1e308] * 3}
+HALF_MAX = {"kind": "finite", "domain": "half_line", "offset": 0, "values": [1.7e308] * 64}
+PL_NO_VALUE = {"kind": "power_log", "alpha": 1e300, "beta": 1e300}
+PL_LATE_TAIL = {"kind": "power_log", "alpha": 0.5, "beta": 40.0}
+
+
+@pytest.mark.parametrize(
+    "doc, verb",
+    [(HALF_1E308, ["calderon", "--window", "4"]),
+     (HALF_1E308, ["calderon", "--window", "4", "--min-kernel"]),
+     (HALF_MAX, ["hilbert", "--window", "4", "--method", "fast"]),
+     (HALF_MAX, ["hilbert", "--window", "4", "--method", "naive"]),
+     (PL_NO_VALUE, ["norm", "--space", "weak_l1"]),
+     (PL_NO_VALUE, ["optrange", "member-weakl1"]),
+     (PL_NO_VALUE, ["rearrange"]),
+     (PL_LATE_TAIL, ["calderon", "--window", "16"])],
+    ids=["calderon", "calderon_min_kernel", "hilbert_fast", "hilbert_naive", "weak_l1_no_value",
+         "member_no_value", "rearrange_no_value", "calderon_tail_past_cap"],
+)
+def test_values_beyond_the_double_range_are_not_certified_before_any_output(tmp_path, doc, verb):
+    # S [1e308]*3 at 0 and H [1.7e308]*64 at -1 exceed the largest double;
+    # power_log(1e300, 1e300) reads inf / inf; power_log(0.5, 40)'s tail starts near 4e11
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    done = _run_cold(verb + ["--in", str(p), "--out", str(out)], timeout=60)
+    assert done.returncode == 1 and done.stdout == "" and not out.exists()
+    assert done.stderr.startswith("computation could not certify") and done.stderr.count("\n") == 1
+    assert "Infinity" not in done.stderr and "NaN" not in done.stderr
+
+
+def test_power_log_whose_power_overflows_prints_its_values_without_a_warning(tmp_path):
+    done = _run_cold(["rearrange", "--window", "4", "--in", _power_log_file(tmp_path, 1e6, 1.0, 1.0)])
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["values"] == [math.log(2.0)] + [0.0] * 7
 
 
 @pytest.mark.parametrize("space, value", [("llog", 1.3414872572509128e+308),

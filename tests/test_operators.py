@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from calderon.sequences import (
     power_log,
 )
 from calderon.spaces import weak_l1_quasinorm
-from calderon.suites import run_suite
+from calderon.suites import TOLERANCE_FAST, run_suite
 
 finite_values = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False, width=64),
@@ -394,3 +395,29 @@ def test_operator_output_validation_and_access():
     with pytest.raises(ValueError):
         OperatorOutput(0, np.array([1.0]), np.array([0.0, 0.0]), METHOD_NAIVE)
     assert not out.window_values.flags.writeable
+
+
+def test_fast_hilbert_matches_naive_at_the_double_range():
+    # both routes transform x / 2**1024 and rescale once: no partial sum overflows
+    x = finite([1e308, -1e308, 1e308], 0, IndexDomain.LINE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        naive = hilbert_symmetric(x, 4, METHOD_NAIVE).window_values
+        assert np.all(np.isfinite(naive))
+        assert fast_naive_agreement(x, 4) <= TOLERANCE_FAST
+
+
+def test_hilbert_of_a_scaled_input_is_the_scaled_transform_bit_for_bit():
+    vals = np.random.default_rng(5).standard_normal(300)
+    for method in (METHOD_NAIVE, METHOD_FAST):
+        h = hilbert(FiniteSequence(IndexDomain.LINE, -40, vals), -100, 100, method).window_values
+        h_big = hilbert(FiniteSequence(IndexDomain.LINE, -40, vals * 2.0 ** 900), -100, 100, method).window_values
+        assert np.array_equal(h_big, h * 2.0 ** 900)
+
+
+@pytest.mark.parametrize("route", [calderon, calderon_min_kernel])
+def test_calderon_above_the_double_range_reads_inf_without_a_warning(route):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = route(finite([1e308] * 3), 4).window_values
+    assert values[0] == math.inf and np.all(np.isfinite(values[1:]))

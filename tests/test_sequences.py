@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calderon.brackets import powerlog_profile
+from calderon.brackets import powerlog_profile, powerlog_tail
+from calderon.operators import calderon
 from calderon.optimal_range import harmonic_calderon_closed_form
 from calderon.sequences import (
     EULER_GAMMA,
@@ -19,9 +20,8 @@ from calderon.sequences import (
     HeadResolutionError,
     IndexDomain,
     PowerLogSequence,
-    PowerLogTail,
     Rearrangement,
-    ZeroTail,
+    ZERO_TAIL,
     add_scaled,
     decreasing_rearrangement,
     dilate,
@@ -33,6 +33,7 @@ from calderon.sequences import (
     sequence_from_json,
     sequence_to_json,
     weighted_tail_sum,
+    zero,
 )
 
 finite_values = st.lists(
@@ -91,7 +92,7 @@ def test_rearrangement_finite_sorts_absolute_values():
     x = finite([3.0, -1.0, 0.5, 2.0, 0.0, -0.25])
     mu = decreasing_rearrangement(x)
     assert list(mu.values) == [3.0, 2.0, 1.0, 0.5, 0.25]
-    assert isinstance(mu.tail, ZeroTail)
+    assert mu.tail == ZERO_TAIL
 
 
 def test_rearrangement_of_rearrangement_is_identity():
@@ -105,7 +106,7 @@ def test_rearrangement_powerlog_monotone_profile_is_itself():
     mu = decreasing_rearrangement(power_log(1.0, 0.0))
     n = len(mu.values)
     assert np.array_equal(mu.values, power_log(1.0, 0.0).head(n))
-    assert isinstance(mu.tail, PowerLogTail)
+    assert mu.tail == power_log(1.0, 0.0)
     assert mu.value_at(10**6) == power_log(1.0, 0.0).value_at(10**6)
 
 
@@ -129,12 +130,44 @@ def test_rearrangement_head_extension_uses_tail_profile():
 
 def test_rearrangement_rejects_increasing_head():
     with pytest.raises(ValueError):
-        Rearrangement(np.array([1.0, 2.0]), ZeroTail())
+        Rearrangement(np.array([1.0, 2.0]), ZERO_TAIL)
 
 
 def test_rearrangement_rejects_tail_above_head_edge():
     with pytest.raises(ValueError):
-        Rearrangement(np.array([0.001]), PowerLogTail(1.0, 0.0, 1.0))
+        Rearrangement(np.array([0.001]), power_log(1.0, 0.0, 1.0))
+
+
+def test_every_rearrangement_tail_is_a_power_log_profile_at_scale_at_least_zero():
+    for scale in (-1.0, -1e-300):
+        with pytest.raises(ValueError, match="tail scale must be nonnegative"):
+            Rearrangement(np.array([2.0]), power_log(1.0, 0.0, scale))
+        with pytest.raises(ValueError, match="tail scale must be nonnegative"):
+            Rearrangement(np.empty(0), power_log(2.0, 1.0, scale))
+    tails = [decreasing_rearrangement(x).tail for x in
+             (finite([3.0, -1.0]), zero(), power_log(1.5, 2.0, -0.37), power_log(1.0, 0.0, 0.0))]
+    tails.append(dilate(decreasing_rearrangement(finite([2.0, 1.0])), 3).tail)
+    assert tails[0] == tails[1] == tails[3] == tails[4] == ZERO_TAIL == Rearrangement(np.empty(0)).tail
+    assert tails[2] == power_log(1.5, 2.0, 0.37)
+    assert all(type(t) is PowerLogSequence and t.scale >= 0 for t in tails)
+
+
+def test_finite_mu_is_read_past_its_support_without_a_profile(monkeypatch):
+    from calderon import sequences
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return powerlog_profile(*args)
+
+    monkeypatch.setattr(sequences, "powerlog_profile", spy)
+    mu = decreasing_rearrangement(finite([0.5, -3.0, 2.0]))
+    assert mu.tail is ZERO_TAIL
+    assert mu.head(6).tolist() == [3.0, 2.0, 0.5, 0.0, 0.0, 0.0]
+    assert Rearrangement(np.empty(0)).head(4).tolist() == [0.0] * 4
+    assert np.array_equal(calderon(mu, 4096).window_values, calderon(finite(mu.values), 4096).window_values)
+    assert calls == []
 
 
 def _abs_profile(alpha, beta, scale, n):
@@ -449,6 +482,34 @@ def test_powerlog_profile_split_scale_matches_direct_formula():
             got = powerlog_profile(k, alpha, beta, scale)
         finite_direct = np.isfinite(direct)
         assert np.array_equal(got[finite_direct], direct[finite_direct])
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e300, 1e300), (1e6, 4e6)])
+def test_powerlog_profile_without_a_value_raises_overflow_and_never_warns(alpha, beta):
+    # log(k+2)**beta and (k+1)**alpha both overflow: inf / inf is no value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            power_log(alpha, beta).values_at(np.arange(4.0))
+        with pytest.raises(OverflowError):
+            decreasing_rearrangement(power_log(alpha, beta))
+
+
+def test_powerlog_profile_whose_power_overflows_reads_zero_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = power_log(1e6, 1.0).values_at(np.arange(5.0))
+        mu = decreasing_rearrangement(power_log(1e6, 1.0))
+    assert v.tolist() == [math.log(2.0), 0.0, 0.0, 0.0, 0.0]
+    assert mu.head(4).tolist() == [math.log(2.0), 0.0, 0.0, 0.0]
+
+
+def test_tail_integral_beyond_the_double_range_raises_overflow_and_never_warns():
+    # Gamma(201) overflows while the incomplete ratio underflows to 0: 0 * inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="exceeds the double range"):
+            powerlog_tail(1e4, 200.0, 1)
 
 
 def test_powerlog_profile_near_the_double_range_has_no_intermediate_overflow():

@@ -12,7 +12,7 @@ from calderon.families import POWER_LOG_GRID
 from calderon.operators import calderon
 from calderon.optimal_range import GENERATORS, MembershipResult, f_norm_upper, weak_l1_membership
 from calderon.sequences import (
-    PowerLogTail, Rearrangement, decreasing_rearrangement, finite, power_log, weighted_tail_sum,
+    Rearrangement, decreasing_rearrangement, finite, power_log, weighted_tail_sum,
 )
 from calderon.spaces import (
     LLOG,
@@ -232,7 +232,7 @@ def test_divergent_sups_are_decided_before_any_head_is_built(monkeypatch):
     x = power_log(0.5, 5.0)  # its head never settles under the cap
     assert weak_l1_quasinorm(x).is_infinite and marcinkiewicz_norm(x).is_infinite
     assert weak_l1_membership(x) == MembershipResult(False, math.inf)
-    mu = Rearrangement(np.array([2.0]), PowerLogTail(1.0, 0.5, 1.0))
+    mu = Rearrangement(np.array([2.0]), power_log(1.0, 0.5, 1.0))
     assert weak_l1_quasinorm(mu).is_infinite and marcinkiewicz_norm(mu).is_infinite
 
 
