@@ -196,16 +196,16 @@ def powerlog_profile(k, alpha: float, beta: float, scale: float):
     rescale is exact, so the values are those of the direct formula wherever
     that formula stays inside the double range, and inf, unwarned, beyond.
     Below 2**512 only a log factor above 2**512 could overflow the product,
-    and the direct formula is kept: it saves a pass over k.  A power that
-    overflows in both factors leaves inf / inf, no value at all: that
-    raises OverflowError."""
+    and the direct formula is kept: it saves a pass over k.  With alpha < 16
+    and beta < 64 no factor can overflow at an index below 2**53, and the
+    direct formula runs unguarded; beyond, a power that overflows in both
+    factors leaves inf / inf, no value at all, and raises OverflowError."""
     k = np.asarray(k, dtype=np.float64)
+    m, e = (scale, 0) if abs(scale) < 2.0 ** 512 else math.frexp(scale)
+    if e == 0 and alpha < 16.0 and beta < 64.0:
+        return scale * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha
     with np.errstate(over="ignore", invalid="ignore"):
-        if abs(scale) < 2.0 ** 512:
-            v = scale * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha
-        else:
-            m, e = math.frexp(scale)
-            v = np.ldexp(m * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha, e)
+        v = np.ldexp(m * np.log(k + 2.0) ** beta / (k + 1.0) ** alpha, e)
     if np.isnan(v).any():
         raise OverflowError(f"power-log profile (alpha={alpha}, beta={beta}) exceeds the double range")
     return v
