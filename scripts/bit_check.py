@@ -44,7 +44,9 @@ head is longer than the window, `sum` of `power_log(1, 5)`, and convergent
 power-log inputs whose values or sups only overflow the double range (each
 records an `OverflowError` where its value is not a double).  Operators:
 `calderon` of the rearranged finite inputs (a finite mu read past its
-support), both Hilbert routes on 4096 normal entries of the line, and both
+support), both Hilbert routes on 4096 normal entries of the line and on
+supports whose naive row partition is not a power of two (3000 entries at
+halfwidth 3000, 5000 at halfwidth 8192, 777 from offset -10), and both
 Hilbert routes and both `calderon` routes on [1e308, -1e308, 1e308] and
 [1e308]*3, value by value.  Power-log arithmetic: the head, weak-l1 norm
 and membership of power_log(1e300, 1e300) and power_log(1e6, 1), and
@@ -389,6 +391,13 @@ def main() -> int:
     line = finite(np.random.default_rng(101).standard_normal(4096), -2048, IndexDomain.LINE)
     for method in (METHOD_NAIVE, METHOD_FAST):
         record(out, f"hilbert/normal4096/{method}", lambda: image_doc(hilbert_symmetric(line, 4096, method)))
+    # supports whose naive row partition 2^24 // K is not a power of two
+    rng = np.random.default_rng(103)
+    for size, offset, half in ((3000, 0, 3000), (5000, 0, 8192), (777, -10, 777)):
+        x = finite(rng.standard_normal(size), offset, IndexDomain.LINE)
+        for method in (METHOD_NAIVE, METHOD_FAST):
+            record(out, f"hilbert/normal{size}@{offset}/h{half}/{method}",
+                   lambda: image_doc(hilbert_symmetric(x, half, method)))
     big = {"line": finite([1e308, -1e308, 1e308], 0, IndexDomain.LINE), "half": finite([1e308] * 3)}
     for name, x in big.items():
         for method in (METHOD_NAIVE, METHOD_FAST):

@@ -15,7 +15,11 @@ by explicit kernel products (naive).  H acts on full-line sequences:
     (H x)(n) = (1/pi) * sum_{k != n} x(k)/(n-k),
 
 with a blocked direct-summation route (naive) and a zero-padded FFT
-convolution route (fast).  All extended-precision accumulation uses longdouble
+convolution route (fast).  Both read the kernel 1/(n-k) from one reciprocal
+vector.  The naive route copies its dense rows from that vector into one
+row block of at most KERNEL_BLOCK doubles, reused for every block; its bits
+are fixed by the row partition KERNEL_BLOCK // K, which sets how many rows
+each BLAS call sums.  All extended-precision accumulation uses longdouble
 cumulative sums; analytic inputs get certified per-index tail half-widths.
 
 Beyond the operators themselves the module only measures: a Hardy ratio, the
@@ -148,20 +152,30 @@ def kernel_values(n, ks: np.ndarray) -> np.ndarray:
 # Hilbert transform
 
 
+def _hilbert_kernel(K: int, s0: int, out_lo: int, out_hi: int) -> np.ndarray:
+    """g(m) = 1/m, g(0) = 0, for m = n - k over n in [out_lo, out_hi] and k in
+    [s0, s0 + K): entry j holds m = out_lo - (s0 + K - 1) + j."""
+    ms = np.arange(out_lo - (s0 + K - 1), out_hi - s0 + 1, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        g = 1.0 / ms
+    g[ms == 0.0] = 0.0
+    return g
+
+
 def _hilbert_finite_naive(vals: np.ndarray, s0: int, out_lo: int, out_hi: int) -> np.ndarray:
+    # row i of the dense kernel is g[K - 1 + i - j] over j: a window of the
+    # reversed vector.  The row partition fixes gemv's summation order.
     K = len(vals)
     n_out = out_hi - out_lo + 1
+    g = _hilbert_kernel(K, s0, out_lo, out_hi)
+    rows = np.lib.stride_tricks.sliding_window_view(g[::-1], K)[::-1]
+    block = max(1, KERNEL_BLOCK // K)
+    buf = np.empty((min(block, n_out), K), dtype=np.float64)
     out = np.empty(n_out, dtype=np.float64)
-    block = max(1, KERNEL_BLOCK // max(K, 1))
-    ks = s0 + np.arange(K, dtype=np.float64)
     for b0 in range(0, n_out, block):
         b1 = min(b0 + block, n_out)
-        ns = out_lo + np.arange(b0, b1, dtype=np.float64)
-        d = ns[:, None] - ks[None, :]
-        with np.errstate(divide="ignore"):
-            np.reciprocal(d, out=d)
-        d[np.isinf(d)] = 0.0
-        out[b0:b1] = d @ vals
+        np.copyto(buf[: b1 - b0], rows[b0:b1])
+        out[b0:b1] = buf[: b1 - b0] @ vals
     return out / PI
 
 
@@ -180,13 +194,7 @@ def _fast_len(n: int) -> int:
 
 def _hilbert_finite_fast(vals: np.ndarray, s0: int, out_lo: int, out_hi: int) -> np.ndarray:
     K = len(vals)
-    s1 = s0 + K - 1
-    m_lo = out_lo - s1
-    m_hi = out_hi - s0
-    ms = np.arange(m_lo, m_hi + 1, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        g = 1.0 / ms
-    g[ms == 0.0] = 0.0
+    g = _hilbert_kernel(K, s0, out_lo, out_hi)
     if K == 1:
         conv = vals[0] * g
     else:
@@ -194,9 +202,8 @@ def _hilbert_finite_fast(vals: np.ndarray, s0: int, out_lo: int, out_hi: int) ->
         n = K + len(g) - 1
         nfft = _fast_len(n)
         conv = np.fft.irfft(np.fft.rfft(vals, nfft) * np.fft.rfft(g, nfft), nfft)[:n]
-    # full convolution index j corresponds to output index s0 + m_lo + j
-    j0 = out_lo - (s0 + m_lo)
-    return conv[j0 : j0 + (out_hi - out_lo + 1)] / PI
+    # full convolution index j holds output index out_lo - (K - 1) + j
+    return conv[K - 1 : K + out_hi - out_lo] / PI
 
 
 def hilbert(

@@ -444,10 +444,10 @@ def axiom_check(spec: SpaceSpec, trials: int = 200, seed: int = 1) -> AxiomCheck
         w_vals = np.zeros(max(n, m))
         w_vals[:m] = rng.standard_normal(m)
         z = finite(w_vals)
-        for other in (z, x):
+        for other, n_other in ((z, space_norm(spec, z).value), (x, nx)):
             s = finite(x.dense(0, max(n, len(other.values) + other.offset))
                        + other.dense(0, max(n, len(other.values) + other.offset)))
-            denom = nx + space_norm(spec, other).value
+            denom = nx + n_other
             if denom > 0:
                 ratio = space_norm(spec, s).value / denom
                 if ratio > c_mod:

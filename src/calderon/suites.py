@@ -65,6 +65,7 @@ from .spaces import (
     M1INF,
     SUM_SPACE,
     WEAK_L1,
+    AxiomCheckResult,
     PhiTemplate,
     SpaceSpec,
     axiom_check,
@@ -129,7 +130,7 @@ def _exceeds(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> bool:
 # core suite
 
 
-def _core_cases(config: RunConfig) -> List[CaseResult]:
+def _core_cases(config: RunConfig, axioms: dict) -> List[CaseResult]:
     cases: List[CaseResult] = []
     seed = config.seed
 
@@ -311,12 +312,20 @@ _AXIOM_SPACES: tuple = (
 )
 
 
-def _norms_cases(config: RunConfig) -> List[CaseResult]:
+def _axiom_check(spec: SpaceSpec, config: RunConfig, axioms: dict) -> AxiomCheckResult:
+    """axiom_check at the run's trials and seed, once per run_suite call:
+    `axioms` maps a space label to its result within that call only."""
+    if spec.label not in axioms:
+        axioms[spec.label] = axiom_check(spec, trials=config.trials, seed=config.seed)
+    return axioms[spec.label]
+
+
+def _norms_cases(config: RunConfig, axioms: dict) -> List[CaseResult]:
     cases: List[CaseResult] = []
     seed = config.seed
 
     for spec in _AXIOM_SPACES:
-        res = axiom_check(spec, trials=config.trials, seed=seed)
+        res = _axiom_check(spec, config, axioms)
         ok = (
             res.monotonicity_violations == 0
             and res.rearrangement_violations == 0
@@ -429,7 +438,7 @@ def _norms_cases(config: RunConfig) -> List[CaseResult]:
 # operators suite
 
 
-def _operators_cases(config: RunConfig) -> List[CaseResult]:
+def _operators_cases(config: RunConfig, axioms: dict) -> List[CaseResult]:
     cases: List[CaseResult] = []
     seed = config.seed
     window = config.window
@@ -634,7 +643,7 @@ def _finite_support_cap(grid: GridConfig) -> int:
     return max(2, min(32, grid.window // 2))
 
 
-def _optrange_quasitriangle_cases(config: RunConfig) -> List[CaseResult]:
+def _optrange_quasitriangle_cases(config: RunConfig, axioms: dict) -> List[CaseResult]:
     seed = config.seed
     grid = GridConfig.for_window(config.window)
     cap = _finite_support_cap(grid)
@@ -644,7 +653,7 @@ def _optrange_quasitriangle_cases(config: RunConfig) -> List[CaseResult]:
         a = finite(rng.standard_normal(int(rng.integers(1, cap))))
         b = finite(rng.standard_normal(int(rng.integers(1, cap))))
         pairs.append((a, b))
-    c_E = axiom_check(WEAK_L1, trials=config.trials, seed=seed).quasi_triangle_modulus
+    c_E = _axiom_check(WEAK_L1, config, axioms).quasi_triangle_modulus
     violations, worst = 0, 0.0
     for f12, bound in f_quasitriangle_pairs(WEAK_L1, pairs, c_E=c_E, search=grid):
         if bound == 0.0:
@@ -671,7 +680,7 @@ def image_escapes(p: MinimalityProbe) -> bool:
             or p.probe_constant - p.probe_constant_half >= UNBOUNDED_DRIFT_THRESHOLD)
 
 
-def _optrange_minimality_cases(config: RunConfig) -> List[CaseResult]:
+def _optrange_minimality_cases(config: RunConfig, axioms: dict) -> List[CaseResult]:
     seed = config.seed
     grid = GridConfig.for_window(config.window)
     witnesses = [
@@ -718,7 +727,7 @@ def _optrange_minimality_cases(config: RunConfig) -> List[CaseResult]:
     return cases
 
 
-def _optrange_hilbert_cases(config: RunConfig) -> List[CaseResult]:
+def _optrange_hilbert_cases(config: RunConfig, axioms: dict) -> List[CaseResult]:
     seed = config.seed
     rng = family_rng("optrange/sandwich", seed)
     l1fam, monofam = [], []
@@ -753,7 +762,7 @@ def _optrange_hilbert_cases(config: RunConfig) -> List[CaseResult]:
     ]
 
 
-def _optrange_cases(config: RunConfig) -> List[CaseResult]:
+def _optrange_cases(config: RunConfig, axioms: dict) -> List[CaseResult]:
     cases: List[CaseResult] = []
     seed = config.seed
     grid = GridConfig.for_window(config.window)
@@ -887,9 +896,9 @@ def _optrange_cases(config: RunConfig) -> List[CaseResult]:
         )
     )
 
-    cases.extend(_optrange_quasitriangle_cases(config))
-    cases.extend(_optrange_minimality_cases(config))
-    cases.extend(_optrange_hilbert_cases(config))
+    cases.extend(_optrange_quasitriangle_cases(config, axioms))
+    cases.extend(_optrange_minimality_cases(config, axioms))
+    cases.extend(_optrange_hilbert_cases(config, axioms))
     return cases
 
 
@@ -942,8 +951,9 @@ def run_suite(name: str, config: Optional[RunConfig] = None) -> VerificationRepo
     if name != "all" and name not in _SUITE_BUILDERS:
         raise ValueError(f"unknown suite {name!r}; choose one of {SUITE_NAMES}")
     report = VerificationReport(suite=name, cases=[], environment=config.environment_echo())
+    axioms: dict = {}  # norms and optrange both read axiom_check(WEAK_L1)
     for part in SUITE_NAMES[:-1] if name == "all" else (name,):
-        report.extend(_SUITE_BUILDERS[part](config))
+        report.extend(_SUITE_BUILDERS[part](config, axioms))
     return report
 
 

@@ -285,6 +285,18 @@ def test_power_log_shape_is_read_before_any_head_is_built(tmp_path, beta, space,
     assert peak_kb < 100 * 1024
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_naive_hilbert_holds_one_row_block(tmp_path):
+    # 8193 outputs of a 4096-entry support: two 4096 x 4096 row blocks of
+    # 128 MiB each, only one of which may be in memory at a time
+    p = tmp_path / "h4k.json"
+    vals = np.random.default_rng(4).standard_normal(4096)
+    p.write_text(json.dumps({"kind": "finite", "domain": "line", "offset": -2048, "values": vals.tolist()}))
+    code, out, peak_kb = _run_with_peak(["hilbert", "--method", "naive", "--window", "4096", "--in", str(p)])
+    assert code == 0 and len(json.loads(out)["values"]) == 8193
+    assert peak_kb < 224 * 1024
+
+
 def test_norm_space_file(capsys, impulse_file, tmp_path):
     sp = tmp_path / "space.json"
     sp.write_text(json.dumps({"space": "lp", "p": 3.0}))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from calderon import suites
 from calderon.families import (
     FAMILY_KINDS,
     POWER_LOG_GRID,
@@ -28,6 +29,7 @@ from calderon.report import (
     json_safe_float,
 )
 from calderon.sequences import FiniteSequence, PowerLogSequence
+from calderon.spaces import WEAK_L1, axiom_check
 from calderon.suites import (
     OPTRANGE_SUBSUITES,
     SUITE_NAMES,
@@ -243,6 +245,25 @@ def test_all_suite_is_concatenation_of_parts():
     assert [c.to_json_dict() for c in rep.cases] == [
         c.to_json_dict() for p in parts for c in p.cases
     ]
+
+
+def test_axiom_check_runs_once_per_space_in_each_run_suite_call(monkeypatch):
+    # norms and optrange both read the weak-l1 axiom check: `all` runs it
+    # once, optrange alone runs it too, and no result outlives its call
+    calls = []
+
+    def counted(spec, **kw):
+        calls.append(spec.label)
+        return axiom_check(spec, **kw)
+
+    monkeypatch.setattr(suites, "axiom_check", counted)
+    config = RunConfig(seed=1, window=1 << 9, trials=4)
+    for _ in range(2):
+        run_suite("all", config)
+    assert sorted(calls) == sorted(2 * [spec.label for spec in suites._AXIOM_SPACES])
+    calls.clear()
+    run_suite("optrange", config)
+    assert calls == [WEAK_L1.label]
 
 
 def test_full_verification_script_all_report_matches_run_suite(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calderon import operators
 from calderon.families import family_rng, generate_family
 from calderon.operators import (
     METHOD_FAST,
@@ -256,6 +257,57 @@ def test_hilbert_fast_matches_brute_oracle(vals, offset):
     for n in range(-8, 9):
         expected = brute_hilbert(x.values, x.offset, n)
         assert out.value_at(n) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+def dense_hilbert(vals, s0, out_lo, out_hi, block_entries):
+    """The naive route written out as a dense formula: each row block is built
+    from n - k, inverted, its diagonal zeroed, and summed by one `@ vals`, with
+    block_entries // K rows per block (the rescale by 2**e as in `hilbert`)."""
+    e = math.frexp(float(np.max(np.abs(vals))))[1]
+    scaled = np.ldexp(vals, -e)
+    K, n_out = len(vals), out_hi - out_lo + 1
+    ks = s0 + np.arange(K, dtype=np.float64)
+    block = max(1, block_entries // K)
+    out = np.empty(n_out)
+    for b0 in range(0, n_out, block):
+        ns = out_lo + np.arange(b0, min(b0 + block, n_out), dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            d = np.reciprocal(ns[:, None] - ks[None, :])
+        d[np.isinf(d)] = 0.0
+        out[b0 : b0 + len(ns)] = d @ scaled
+    return np.ldexp(out / math.pi, e)
+
+
+# (K, offset, out_lo, out_hi) at 64 kernel entries per block: many blocks and
+# a one-row last block; K = 64 and K = 100 give one row per block
+NAIVE_SHAPES = [
+    (1, 3, -64, 64),  # 64-row blocks, 129 rows
+    (7, -5, -20, 25),  # 9-row blocks, 46 rows, window across the support
+    (7, 4, -60, -15),  # window wholly left of the support
+    (7, -3, 30, 75),  # window wholly right of the support
+    (10, -13, -20, 10),  # 6-row blocks, 31 rows
+    (64, 0, -5, 5),
+    (100, -50, -8, 8),
+]
+
+
+@pytest.mark.parametrize("K, offset, out_lo, out_hi", NAIVE_SHAPES)
+def test_naive_hilbert_is_the_dense_formula_bit_for_bit(monkeypatch, K, offset, out_lo, out_hi):
+    monkeypatch.setattr(operators, "KERNEL_BLOCK", 64)
+    vals = np.random.default_rng([K, abs(offset)]).standard_normal(K) * 3.0
+    got = hilbert(FiniteSequence(IndexDomain.LINE, offset, vals), out_lo, out_hi, METHOD_NAIVE)
+    assert np.array_equal(got.window_values, dense_hilbert(vals, offset, out_lo, out_hi, 64))
+
+
+@pytest.mark.parametrize("K, offset, out_lo, out_hi", NAIVE_SHAPES)
+def test_naive_hilbert_matches_brute_oracle_at_every_block_edge(monkeypatch, K, offset, out_lo, out_hi):
+    monkeypatch.setattr(operators, "KERNEL_BLOCK", 64)
+    vals = np.random.default_rng([K, abs(offset), 1]).standard_normal(K)
+    out = hilbert(FiniteSequence(IndexDomain.LINE, offset, vals), out_lo, out_hi, METHOD_NAIVE)
+    block = max(1, 64 // K)
+    edges = {i for b0 in range(0, out_hi - out_lo + 1, block) for i in (b0 - 1, b0) if i >= 0}
+    for n in sorted(out_lo + i for i in edges):
+        assert out.value_at(n) == pytest.approx(brute_hilbert(vals, offset, n), rel=1e-11, abs=1e-11)
 
 
 def test_hilbert_of_unit_impulse():
