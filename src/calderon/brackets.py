@@ -10,7 +10,8 @@ with s > 1, beta >= 0.  The bounds come from two elementary comparisons:
   k >= N, and 1/k sits between 1/(k+1) and (N+1)/N * 1/(k+1);
 * the integral test for the decreasing integrand (log u)**beta * u**(-s),
   whose integral has the closed form
-      (s-1)**-(beta+1) * Gamma(beta+1, (s-1) log U).
+      (s-1)**-(beta+1) * Gamma(beta+1, (s-1) log U),
+  with the upper incomplete gamma function evaluated by `math` alone.
 
 The resulting [lower, upper] interval is exact mathematics up to floating
 point roundoff; callers shrink it by pushing N outward.  Every certified series
@@ -90,7 +91,9 @@ def powerlog_tail(
     weight is a fixed positive weight of the space (theta of lorentz:power),
     never the data's scale.  start must be at least min_tail_start, so that
     the integral test brackets sum_{u >= U} of (log u)**beta * u**(-s),
-    U = start + 1, between I and I + (log U)**beta U**(-s).
+    U = start + 1, between I and I + (log U)**beta U**(-s), where
+    I = Gamma(beta+1, (s-1) log U) / (s-1)**(beta+1) (`_upper_gamma`).  Where
+    Gamma(beta+1) itself exceeds the double range it raises OverflowError.
     """
     s = alpha + shift_power + (1.0 if harmonic_weight else 0.0)
     if s <= 1.0:
@@ -99,11 +102,9 @@ def powerlog_tail(
         )
     if start < min_tail_start(alpha, beta, shift_power=shift_power, harmonic_weight=harmonic_weight):
         raise ValueError(f"tail start {start} below safe comparison region")
-    from scipy import special as _sp  # deferred: most CLI calls never reach a tail integral
-
     U = start + 1
     lam = s - 1.0
-    Q = float(_sp.gammaincc(beta + 1.0, lam * math.log(U))) * float(_sp.gamma(beta + 1.0))
+    Q = _upper_gamma(beta + 1.0, lam * math.log(U))
     if not math.isfinite(Q):
         raise OverflowError(f"tail integral of (alpha={alpha}, beta={beta}) exceeds the double range")
     I = Q / lam ** (beta + 1.0)
@@ -112,6 +113,86 @@ def powerlog_tail(
     if harmonic_weight:
         fac *= (start + 1) / start
     return Bracket(weight * I, weight * fac * (I + phi))
+
+
+# Gamma(a) is read as beyond the double range from this a on (Cephes' MAXGAM; Gamma
+# rounds to inf from the next double up)
+_GAMMA_OVERFLOW = 171.6243769563027
+
+
+def _upper_gamma(a: float, x: float) -> float:
+    """Gamma(a, x), the integral of t**(a-1) e**-t over t > x, for a >= 1 and
+    x > 0; inf exactly where a >= _GAMMA_OVERFLOW, and finite everywhere else.
+
+    With a = a0 + n, a0 in (0, 1] and n whole, Gamma(a0, x) is e**-x at
+    a0 = 1, Legendre's continued fraction (modified Lentz) for x > a0 + 1,
+    and Gamma(a0) - gamma(a0, x) by the series of gamma otherwise.  n steps of
+    Gamma(b+1, x) = b Gamma(b, x) + x**b e**-x carry it to a: every term is
+    positive, so nothing cancels.  From x >= a - 1 the steps run on
+    Gamma(b, x) / (x**(b-1) e**-x), which stays at most a, and the
+    factor x**(a-1) e**-x is applied once at the end, so that no step leaves
+    the double range where Gamma(a, x) itself lies inside it.
+    """
+    if a >= _GAMMA_OVERFLOW:
+        return math.inf
+    if x >= 4096.0:  # Gamma(a, x) < x**a e**-x < e**-2600: below the least double
+        return 0.0
+    n = math.ceil(a) - 1
+    a0 = a - n  # exact, so every a0 + k below is exact too
+    scaled = x >= a - 1.0
+    if a0 == 1.0:
+        g = 1.0 if scaled else math.exp(-x)
+    elif x > a0 + 1.0:
+        h = _legendre_fraction(a0, x)  # Gamma(a0, x) = x**a0 e**-x h
+        g = x * h if scaled else _power_exp(x, a0) * h
+    else:
+        term = total = 1.0 / a0  # gamma(a0, x) = x**a0 e**-x * sum_k x**k / (a0 (a0+1) ... (a0+k))
+        k = 0
+        while term > 1e-17 * total:
+            k += 1
+            term *= x / (a0 + k)
+            total += term
+        g = math.gamma(a0) - _power_exp(x, a0) * total
+        if scaled:
+            g /= _power_exp(x, a0 - 1.0)
+    for k in range(n):
+        b = a0 + k
+        g = 1.0 + b * g / x if scaled else b * g + _power_exp(x, b)
+    return _power_exp(x, a - 1.0) * g if scaled else g
+
+
+def _legendre_fraction(a: float, x: float) -> float:
+    """h with Gamma(a, x) = x**a e**-x h: 1/(x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...))),
+    by the modified Lentz method, for 0 < a < 1 < x."""
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) <= 2.0 ** -53:
+            return h
+    raise InvariantError(f"continued fraction of Gamma({a}, {x}) did not converge")
+
+
+def _power_exp(x: float, c: float) -> float:
+    """x**c e**-x for x > 0, as the m-th power of x**(c/m) e**(-x/m), m the least
+    power of 2 that keeps both factors inside the normal range (m = 1 except
+    at the edges of the range)."""
+    m = 1
+    while x > 700.0 * m or abs(c * math.log(x)) > 700.0 * m:
+        m *= 2
+    y = math.pow(x, c / m) * math.exp(-x / m)
+    while m > 1:
+        y *= y
+        m //= 2
+    return y
 
 
 def min_tail_start(

@@ -3,9 +3,9 @@ verdict.  The math modules return numbers; `report` (cases, reports and
 their emission) is imported only by `suites`, `cli` and the package
 `__init__`, and `CaseResult` is constructed only in `report` and `suites`.
 
-scipy is imported only inside the one function that needs it, the tail
-integral, so that `import calderon` and a CLI call that reaches no tail load
-numpy only.
+No module imports scipy (SCIPY_USERS is empty): the tail integral
+Gamma(a, x) is computed with `math`, so `import calderon` and every CLI call,
+a power-log tail included, load numpy only.
 
 Every series over a rearrangement is read through `sequences.series`, the one
 caller of `brackets.choose_tail_start`: a norm with its own target (the m1inf
@@ -34,7 +34,7 @@ from calderon import LLOG, power_log, space_norm
 SRC = Path(calderon.__file__).resolve().parent
 REPORT_IMPORTERS = {"suites", "cli", "__init__"}
 CASE_BUILDERS = {"report", "suites"}
-SCIPY_USERS = {("brackets", "powerlog_tail")}
+SCIPY_USERS = set()
 TAIL_START_CHOOSERS = {("sequences", "series")}
 HARMONIC_FORMULAS = {"harmonic_number", "harmonic_calderon_closed_form"}
 KIND_WRITERS = {"sequences"}
@@ -165,18 +165,20 @@ def test_cold_import_and_finite_norm_load_no_scipy(tmp_path):
     assert json.loads(out.read_text())["value"] == pytest.approx(10.25 ** 0.5, rel=1e-15)
 
 
-def test_power_log_norm_loads_scipy_special_on_first_use(tmp_path):
+def test_power_log_norm_loads_no_scipy(tmp_path):
+    # the llog norm of a power-log profile brackets its tail by Gamma(a, x)
     pl = tmp_path / "pl.json"
     pl.write_text(json.dumps({"kind": "power_log", "alpha": 1.5, "beta": 0}))
     out = tmp_path / "out.json"
     doc = _run_child(
         "import json, sys\n"
-        "import calderon.cli\n"
-        "before = 'scipy.special' in sys.modules\n"
+        "import calderon.brackets, calderon.cli\n"
+        "upper, calls = calderon.brackets._upper_gamma, []\n"
+        "calderon.brackets._upper_gamma = lambda a, x: calls.append(a) or upper(a, x)\n"
         f"code = calderon.cli.main(['norm', '--in', {str(pl)!r}, '--space', 'llog', '--out', {str(out)!r}])\n"
-        "print(json.dumps({'before': before, 'after': 'scipy.special' in sys.modules, 'code': code}))\n"
+        f"print(json.dumps({{'loaded': {_LOADED_SCIPY}, 'tail': len(calls) > 0, 'code': code}}))\n"
     )
-    assert doc == {"before": False, "after": True, "code": 0}
+    assert doc == {"loaded": [], "tail": True, "code": 0}
     child = json.loads(out.read_text())
     direct = space_norm(LLOG, power_log(1.5, 0.0), window=65536)
     assert child == {"space": "llog", **direct.to_json_dict()}
