@@ -74,7 +74,8 @@ import numpy as np
 from calderon.brackets import ratio_profile_sup
 from calderon.operators import METHOD_FAST, METHOD_NAIVE, calderon, calderon_min_kernel, hilbert_symmetric
 from calderon.optimal_range import (
-    GENERATORS, GridConfig, _candidate_scale, check_domination, f_norm_upper, harmonic_calderon_closed_form,
+    GENERATORS, GridConfig, _candidate_scale, _domination_length, check_domination, f_norm_upper,
+    harmonic_calderon_closed_form,
     weak_l1_membership,
 )
 from calderon.sequences import (
@@ -323,7 +324,8 @@ def main() -> int:
     for n in (1, 2, 31, 1000):
         x = finite(rng.standard_normal(n))
         for a, b in GENERATORS:
-            c, _ = _candidate_scale(decreasing_rearrangement(x), power_log(a, b), 1 << 14)
+            mu_x = decreasing_rearrangement(x)
+            c, _ = _candidate_scale(mu_x, mu_x.head(_domination_length(mu_x, 1 << 14)), power_log(a, b), 1 << 14)
             out[f"scale/normal{n}/pl({a},{b})"] = repr(c)
             for factor in (1.0, 0.999):
                 record(out, f"domination/normal{n}/pl({a},{b})*{factor}",

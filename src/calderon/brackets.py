@@ -93,7 +93,9 @@ def powerlog_tail(
     the integral test brackets sum_{u >= U} of (log u)**beta * u**(-s),
     U = start + 1, between I and I + (log U)**beta U**(-s), where
     I = Gamma(beta+1, (s-1) log U) / (s-1)**(beta+1) (`_upper_gamma`).  Where
-    Gamma(beta+1) itself exceeds the double range it raises OverflowError.
+    a power in I or in (log U)**beta U**(-s) leaves the double range on the
+    way, both are formed by `_power_product` instead; where I or that term
+    itself exceeds the double range it raises OverflowError.
     """
     s = alpha + shift_power + (1.0 if harmonic_weight else 0.0)
     if s <= 1.0:
@@ -105,10 +107,14 @@ def powerlog_tail(
     U = start + 1
     lam = s - 1.0
     Q = _upper_gamma(beta + 1.0, lam * math.log(U))
-    if not math.isfinite(Q):
+    try:
+        I = Q / lam ** (beta + 1.0)
+        phi = math.log(U) ** beta * float(U) ** (-s)
+    except (OverflowError, ZeroDivisionError):  # a power leaves the double range on the way
+        I = _power_product(Q, (lam, -(beta + 1.0)))
+        phi = _power_product(1.0, (math.log(U), beta), (float(U), -s))
+    if not (math.isfinite(I) and math.isfinite(phi)):
         raise OverflowError(f"tail integral of (alpha={alpha}, beta={beta}) exceeds the double range")
-    I = Q / lam ** (beta + 1.0)
-    phi = math.log(U) ** beta * float(U) ** (-s)
     fac = (math.log(start + 2) / math.log(start + 1)) ** beta
     if harmonic_weight:
         fac *= (start + 1) / start
@@ -193,6 +199,20 @@ def _power_exp(x: float, c: float) -> float:
         y *= y
         m //= 2
     return y
+
+
+def _power_product(c: float, *powers: tuple[float, float]) -> float:
+    """c times the product of b**e over the (b, e) pairs, b > 0, as c times m
+    equal factors, m the least power of 2 that keeps every b**(e/m) within
+    e**+-350: the partial products run monotonically from c to the result,
+    so none leaves the double range where c and the result lie inside it."""
+    m = 1
+    while any(abs(e * math.log(b)) > 350.0 * m for b, e in powers):
+        m *= 2
+    f = math.prod(b ** (e / m) for b, e in powers)
+    for _ in range(m):
+        c *= f
+    return c
 
 
 def min_tail_start(

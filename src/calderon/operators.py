@@ -5,8 +5,9 @@ S acts on half-line sequences:
     (S x)(n) = (1/(n+1)) * sum_{k<=n} x(k)  +  sum_{k>n} x(k)/k.
 
 Two evaluation routes are kept deliberately distinct so they can cross-check
-each other: `calderon` uses one prefix-sum pass plus a suffix pass (fast), and
-`calderon_min_kernel` evaluates the equivalent kernel form
+each other: `calderon` uses one prefix-sum pass plus a suffix pass over the
+support of a finite x, and closes the rest of the window in closed form
+(fast), and `calderon_min_kernel` evaluates the equivalent kernel form
 
     (S x)(n) = sum_k x(k) * min(1/k, 1/(n+1))      (k = 0 term: x(0)/(n+1))
 
@@ -94,23 +95,42 @@ class OperatorOutput:
 
 
 def calderon(x: MuLike, window: int) -> OperatorOutput:
-    """Prefix-sum evaluation of S on [0, window)."""
+    """Prefix-sum evaluation of S on [0, window).
+
+    The sums run on [0, m) only: m = min(support end, window) (at least 1)
+    for a finite x or a finite `Rearrangement`, m = window otherwise.  Past
+    m, x vanishes, so S x(n) = P/(n+1) + (total - C), with P the last prefix
+    sum and C the last weighted cumsum.  total is np.sum over the zero-padded
+    window, as in the dense formula: numpy's pairwise tree depends on the
+    length, and so the values are the dense formula's bit for bit."""
     if window < 1:
         raise ValueError("window must be positive")
-    dense = x.head(window)
+    if isinstance(x, FiniteSequence):
+        m = x.end
+    elif isinstance(x, Rearrangement) and x.tail.is_zero:
+        m = len(x.values)
+    else:
+        m = window
+    m = min(max(m, 1), window)
+    prefix = np.asarray(x.head(m), dtype=np.longdouble)  # x(k), then its prefix sums
     beyond = weighted_tail_sum(x, window - 1)  # sum_{k>=window} x(k)/k
-    ld = np.asarray(dense, dtype=np.longdouble)
-    prefix = np.cumsum(ld)
-    ns = np.arange(window, dtype=np.longdouble)
-    head = prefix / (ns + 1.0)
-    # within-window weighted suffix: sum_{k=n+1}^{window-1} x(k)/k
+    counts = np.arange(1, window + 1, dtype=np.longdouble)  # n + 1
+    # w(k) = x(k)/k on [1, m), zero elsewhere; then the weighted suffix
+    # sum_{k=n+1}^{window-1} w(k) = total - cumsum(w)(n)
     w = np.zeros(window, dtype=np.longdouble)
-    if window > 1:
-        w[1:] = ld[1:] / np.arange(1, window, dtype=np.longdouble)
+    np.divide(prefix[1:], counts[: m - 1], out=w[1:m])
     total = np.sum(w)
-    suffix = total - np.cumsum(w)
+    np.cumsum(w[:m], out=w[:m])
+    np.cumsum(prefix, out=prefix)
+    P, C = prefix[-1], w[m - 1]
+    np.subtract(total, w[:m], out=w[:m])
+    w[:m] += np.divide(prefix, counts[:m], out=prefix)
+    np.divide(P, counts[m:], out=w[m:])
+    w[m:] += total - C
     with np.errstate(over="ignore", invalid="ignore"):  # a value above the double range reads inf
-        values = (head + suffix + beyond.mid).astype(np.float64)
+        if beyond.mid:  # no entry is -0, so adding a zero tail moves no bit
+            w += beyond.mid
+        values = w.astype(np.float64)
     hw = np.full(window, float(beyond.halfwidth))
     return OperatorOutput(0, values, hw, METHOD_FAST)
 

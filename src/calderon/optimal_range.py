@@ -22,13 +22,15 @@ weak-l1, c_a(x) = sup_n mu(n, x) (n+1) / log(n+2) characterizes membership
 One test, `_domination`, decides mu(x) <= S mu(y) for the search (against the
 lower end of S mu(y), which certifies the scale) and for the re-check
 (against the upper end, which refutes only beyond the bracket).  It checks an
-explicit window and closes the tail by an analytic argument.  A finite x is
-read whole: its certificate window is at least its support, and S mu(y) is
-read on the support alone, since past it the test is 0 <= S mu(y).  The
-window bounds analytic heads only, and a power-log tail is closed by a
-certified ratio bound (the harmonic witness uses (S mu(a))(n) =
-(H_{n+1}+1)/(n+1) > log(n+2)/(n+1); general witnesses use the partial-sum
-lower bound S mu(y)(n) >= P_y(W)/(n+1) for n >= W).  An estimate's
+explicit window and closes the tail by an analytic argument.  The search
+reads the head of mu(x) on that window once per query, shares it among the
+shapes and slices the truncations of mu(x) from it; the re-check reads its
+own.  A finite x is read whole: its certificate window is at least its
+support, and S mu(y) is read on the support alone, since past it the test
+is 0 <= S mu(y).  The window bounds analytic heads only, and a power-log
+tail is closed by a certified ratio bound (the harmonic witness uses
+(S mu(a))(n) = (H_{n+1}+1)/(n+1) > log(n+2)/(n+1); general witnesses use
+the partial-sum lower bound S mu(y)(n) >= P_y(W)/(n+1) for n >= W).  An estimate's
 certificate holds mu(x), on which alone f depends, in a wire kind, so it replays.
 
 The property measurements at the end (quasi-triangle sides, minimality
@@ -196,14 +198,15 @@ def _domination_length(mu_x: Rearrangement, window: int) -> int:
 
 
 def _domination(
-    mu_x: Rearrangement, y: MuLike, image: np.ndarray, window: int
+    mu_x: Rearrangement, lhs: np.ndarray, y: MuLike, image: np.ndarray
 ) -> tuple[np.ndarray, float, str]:
-    """The one test of mu(x) <= S mu(y).  image is one end of the bracket of
-    S mu(y) on [0, window), window = `_domination_length`.  Returns the window
-    ratios mu_x(n) / image(n) (0 where mu_x(n) = 0), a certified sup of
-    mu_x(n) / (S mu(y))(n) over n >= window (inf when no rule certifies one)
-    and the tail argument used."""
-    lhs = mu_x.head(window)  # one zero for the empty x
+    """The one test of mu(x) <= S mu(y).  lhs is mu_x.head(window) and image
+    one end of the bracket of S mu(y) on [0, window), window =
+    `_domination_length`; the search reads lhs once per query.  Returns the
+    window ratios mu_x(n) / image(n) (0 where mu_x(n) = 0), a certified sup
+    of mu_x(n) / (S mu(y))(n) over n >= window (inf when no rule certifies
+    one) and the tail argument used."""
+    window = len(lhs)
     # a ratio beyond the double range reads inf: no double scale certifies it
     with np.errstate(divide="ignore", over="ignore"):
         ratios = np.divide(lhs, image, out=np.zeros(window), where=lhs > 0)
@@ -236,9 +239,8 @@ def check_domination(x: MuLike, y: MuLike, window: int) -> DominationCertificate
     window = mu_x.read_window(window)
     n = _domination_length(mu_x, window)
     s = calderon(decreasing_rearrangement(y), n)
-    ratios, tail_sup, tail_argument = _domination(
-        mu_x, y, s.window_values + s.tail_halfwidth_per_index, n
-    )
+    lhs = mu_x.head(n)  # one zero for the empty x
+    ratios, tail_sup, tail_argument = _domination(mu_x, lhs, y, s.window_values + s.tail_halfwidth_per_index)
     bad = np.nonzero(ratios > 1.0 + DOMINATION_TOL)[0]
     return DominationCertificate(
         x=x,
@@ -267,17 +269,18 @@ def _shape_calderon_floor(shape: PowerLogSequence, window: int) -> np.ndarray:
 
 
 def _candidate_scale(
-    mu_x: Rearrangement, shape: MuLike, window: int
+    mu_x: Rearrangement, lhs: np.ndarray, shape: MuLike, window: int
 ) -> tuple[float, str]:
     """Minimal c with mu(x) <= c * S mu(shape) certified on all of Z+,
-    together with the tail argument used.  The scale is certified from the
-    lower end of S mu(shape): the cached closed form for the harmonic shape,
+    together with the tail argument used; lhs is mu_x.head(n), n =
+    `_domination_length`.  The scale is certified from the lower end of
+    S mu(shape): the cached closed form for the harmonic shape,
     the cached `calderon` lower end for the other power-log shapes, else
     `calderon` values minus half-widths, clamped to the largest double.  For
     a finite x it is read on the support only: past it mu(x) = 0, and every
     c passes.  Returns (inf, reason) when the shape cannot dominate any
     scaling of x, (0, reason) when the scale underflows."""
-    n = _domination_length(mu_x, window)
+    n = len(lhs)
     if isinstance(shape, PowerLogSequence) and shape.is_harmonic:
         s_lo = shape.scale * _harmonic_calderon_window(window)[:n]
     else:
@@ -290,7 +293,7 @@ def _candidate_scale(
             s_lo = np.minimum(out.window_values - out.tail_halfwidth_per_index, np.finfo(float).max)
         if float(np.min(s_lo)) <= 0.0:
             return math.inf, "witness image not positive on window"
-    ratios, tail_sup, tail_argument = _domination(mu_x, shape, s_lo, n)
+    ratios, tail_sup, tail_argument = _domination(mu_x, lhs, shape, s_lo)
     if math.isinf(tail_sup):
         return math.inf, "no analytic tail rule certifies this witness shape"
     c = max(float(np.max(ratios)), tail_sup)
@@ -386,13 +389,14 @@ def f_norm_upper(
     if mu_x.is_zero:
         return FNormEstimate(0.0, None if floor is None else 0.0, _recheck(x, mu_x, finite(()), window))
 
+    lhs = mu_x.head(_domination_length(mu_x, window))  # the one head of the search
     shapes: list[Sequence] = [power_log(1.0, 0.0)]  # attains f = c* over weak-l1
     if E.kind != "weak_l1":
         shapes += [power_log(alpha, beta) for alpha, beta in GENERATORS]
         t = mu_x.tail
         support = len(mu_x.values) if t.is_zero else math.inf
         levels = sorted({min(L, window) for L in TRUNCATION_LEVELS})
-        shapes += [finite(mu_x.head(L)) for L in levels if L < support]
+        shapes += [finite(lhs[:L]) for L in levels if L < support]
         if t.is_zero:
             shapes.append(finite(mu_x.values))
         elif (t.alpha, t.beta) not in ((1.0, 0.0), *GENERATORS):
@@ -401,7 +405,7 @@ def f_norm_upper(
     reasons = []
     best: Optional[tuple[float, Sequence]] = None
     for shape in shapes:
-        c, tail_argument = _candidate_scale(mu_x, shape, window)
+        c, tail_argument = _candidate_scale(mu_x, lhs, shape, window)
         if math.isinf(c) or c == 0.0:
             reasons.append(tail_argument)
             continue

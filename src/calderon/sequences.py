@@ -55,7 +55,7 @@ def _as_float_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("sequence values must be one-dimensional")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("sequence values must be finite")
     return arr
 
@@ -205,7 +205,7 @@ class Rearrangement:
                 raise OverflowError("a rearranged value exceeds the double range")
             if v[-1] < 0:
                 raise InvariantError("rearrangement values must be nonnegative")
-            if np.any(np.diff(v) > 0):
+            if (v[1:] > v[:-1]).any():
                 raise InvariantError("rearrangement head must be nonincreasing")
         if self.tail.scale < 0:
             raise ValueError("rearrangement tail scale must be nonnegative")

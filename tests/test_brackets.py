@@ -142,3 +142,34 @@ def test_powerlog_tail_bracket_contains_the_mpmath_sum(args):
                       harmonic_weight=harmonic_weight, weight=weight)
     true = _mpmath_tail(*args)
     assert b.lo <= true <= b.hi, (args, b, true)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 100.0])
+def test_powerlog_tail_past_an_overflowing_power_matches_mpmath(alpha):
+    # log(U)**170 (alpha 2, log U = 85) and 99**171 (alpha 100) leave the
+    # double range on the way to a finite bracket
+    start = min_tail_start(alpha, 170.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = powerlog_tail(alpha, 170.0, start)
+    true = _mpmath_tail(start, alpha, 170.0, 0.0, False, 1.0)
+    # at alpha 2 the sum lies within 1e-50 of its integral, so only the
+    # rounding of Gamma(171, 85) separates the two ends from it
+    assert b.lo <= true * (1 + 5e-14) and true * (1 - 5e-14) <= b.hi, (b, true)
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(alpha) - 1
+        integral = mpmath.gammainc(171, lam * mpmath.log(start + 1)) / lam ** 171
+    assert b.lo == pytest.approx(float(integral), rel=5e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.5])
+def test_powerlog_tail_refuses_an_integral_beyond_the_double_range(alpha):
+    # (s-1)**-(beta+1) = 0.01**-171 or 2**171 lifts I = Gamma(171, .)/(s-1)**171 past it
+    start = min_tail_start(alpha, 170.0)
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(alpha) - 1
+        assert mpmath.gammainc(171, lam * mpmath.log(start + 1)) / lam ** 171 > DOUBLE_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="exceeds the double range"):
+            powerlog_tail(alpha, 170.0, start)

@@ -195,6 +195,21 @@ def test_finite_value_beyond_the_double_range_exits_one(capsys, big_file, argv):
     assert "exceeds the double range" in captured.err and "Traceback" not in captured.err
 
 
+def test_llog_norm_of_a_profile_with_an_overflowing_tail_power(capsys, tmp_path):
+    # the tail integral divides by 99**171, beyond the double range, on the
+    # way to a finite bracket: certified, not refused
+    import mpmath
+
+    p = tmp_path / "pl.json"
+    p.write_text(json.dumps({"kind": "power_log", "alpha": 100.0, "beta": 170.0}))
+    code, doc = run_json(capsys, ["norm", "--in", str(p), "--space", "llog"])
+    with mpmath.workdps(30):
+        mu = sorted((mpmath.log(k + 2) ** 170 / mpmath.mpf(k + 1) ** 100 for k in range(400)), reverse=True)
+        true = float(mpmath.fsum(v / (n + 1) for n, v in enumerate(mu)))  # the rest is below 1e-100
+    assert code == 0
+    assert abs(doc["value"] - true) <= doc["tail_halfwidth"] + 1e-13 * true
+
+
 NEAR_MAX_UPPER = {
     "llog": 1.6986551871026354e+308,
     "m1inf": 1.4321360122635143e+308,

@@ -35,6 +35,7 @@ from calderon.sequences import (
     dilate,
     finite,
     power_log,
+    weighted_tail_sum,
 )
 from calderon.spaces import weak_l1_quasinorm
 from calderon.suites import TOLERANCE_FAST, run_suite
@@ -149,6 +150,59 @@ def test_calderon_rejects_empty_window():
         calderon(finite([1.0]), 0)
     with pytest.raises(ValueError):
         calderon_min_kernel(finite([1.0]), 0)
+
+
+def dense_calderon(x, window):
+    """S x on [0, window) by the dense prefix-sum formula over the whole
+    window, in longdouble: the formula `calderon` must equal bit for bit."""
+    ld = np.asarray(x.head(window), dtype=np.longdouble)
+    beyond = weighted_tail_sum(x, window - 1)
+    ns = np.arange(window, dtype=np.longdouble)
+    head = np.cumsum(ld) / (ns + 1.0)
+    w = np.zeros(window, dtype=np.longdouble)
+    w[1:] = ld[1:] / np.arange(1, window, dtype=np.longdouble)
+    suffix = np.sum(w) - np.cumsum(w)
+    with np.errstate(over="ignore"):
+        values = (head + suffix + beyond.mid).astype(np.float64)
+    return values, np.full(window, float(beyond.halfwidth))
+
+
+_normals = family_rng("calderon_dense", 1).standard_normal(300)
+
+# (x, window): supports of 0, 1 and 2 entries, offsets > 0, support = window,
+# support > window, window 1, pairwise-sum lengths past 128, finite
+# rearrangements, an analytic input, and values above the double range
+CALDERON_SHAPES = [
+    (finite(()), 1),
+    (finite(()), 7),
+    (finite([2.5]), 1),
+    (finite([2.5]), 130),
+    (finite([-1.5], offset=3), 10),
+    (finite([0.7, -3.0]), 2),
+    (finite([0.7, -3.0], offset=2), 9),
+    (finite(_normals[:5]), 5),
+    (finite(_normals[:7], offset=4), 1),
+    (finite(_normals[:3], offset=20), 128),
+    (finite(_normals[:130], offset=1), 257),
+    (finite(_normals), 129),
+    (finite(_normals, offset=9), 4097),
+    (decreasing_rearrangement(finite(_normals)), 1),
+    (decreasing_rearrangement(finite(_normals)), 129),
+    (decreasing_rearrangement(finite(_normals)), 300),
+    (decreasing_rearrangement(finite(_normals[:17])), 1 << 14),
+    (power_log(1.5, 1.0, 0.37), 2100),
+    (finite([1e308] * 3), 4),
+]
+
+
+@pytest.mark.parametrize("x, window", CALDERON_SHAPES)
+def test_calderon_is_the_dense_formula_bit_for_bit(x, window):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = calderon(x, window)
+    values, hw = dense_calderon(x, window)
+    assert got.window_values.tobytes() == values.tobytes()
+    assert got.tail_halfwidth_per_index.tobytes() == hw.tobytes()
 
 
 def test_kernel_values_row():

@@ -20,6 +20,7 @@ from calderon.optimal_range import (
     GridConfig,
     NoWitnessFoundError,
     _candidate_scale,
+    _domination_length,
     _scaled_shape,
     _unit_norm,
     check_domination,
@@ -58,6 +59,11 @@ finite_values = st.lists(
     min_size=1,
     max_size=16,
 )
+
+
+def _scale_of(mu_x, shape, window):
+    """`_candidate_scale` with the search head read as `f_norm_upper` reads it."""
+    return _candidate_scale(mu_x, mu_x.head(_domination_length(mu_x, window)), shape, window)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +244,7 @@ def test_support_reading_matches_the_full_window_reading(x):
         for shape in shapes:
             c = 1.0  # the empty x: only the re-check reads it
             if support:
-                c = _candidate_scale(mu_x, shape, full)[0]
+                c = _scale_of(mu_x, shape, full)[0]
                 assert c.hex() == _full_window_scale(mu_x, shape, full).hex(), shape
                 if math.isinf(c) or c == 0.0:
                     continue
@@ -291,6 +297,34 @@ def test_f_over_weak_l1_reads_mu_of_x_once(monkeypatch, x):
     assert len(reads) == 1 and 0.0 < est.lower <= est.upper
 
 
+def test_f_search_reads_the_window_head_of_an_analytic_x_once(monkeypatch):
+    # one head per query, sliced for the truncation shapes, not one per
+    # shape; the re-check reads mu(x) again for itself
+    x = power_log(1.5, 1.0, 1.3)
+    expected = f_norm_upper(x, LLOG).to_json_dict()
+    window, profile = DEFAULT_GRID.window, power_log(1.5, 1.0, 1.3)
+    head, recheck = Rearrangement.head, optimal_range.check_domination
+    reads, in_recheck = [], [False]
+
+    def spy_head(self, n):
+        if n == window and self.tail == profile:
+            reads.append("recheck" if in_recheck[0] else "search")
+        return head(self, n)
+
+    def spy_recheck(*args):
+        in_recheck[0] = True
+        try:
+            return recheck(*args)
+        finally:
+            in_recheck[0] = False
+
+    monkeypatch.setattr(Rearrangement, "head", spy_head)
+    monkeypatch.setattr(optimal_range, "check_domination", spy_recheck)
+    got = f_norm_upper(x, LLOG).to_json_dict()
+    assert reads == ["search", "recheck"]
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
 def test_f_of_log_profile_has_unit_harmonic_witness():
     est = f_norm_upper(power_log(1.0, 1.0), WEAK_L1)
     assert est.upper == pytest.approx(1.0, rel=1e-12)
@@ -326,7 +360,7 @@ def _dense_c_star(values) -> float:
 
 
 def _weak_norm_at_minimal_scale(mu_x, shape, window):
-    c, _ = _candidate_scale(mu_x, shape, window)
+    c, _ = _scale_of(mu_x, shape, window)
     if math.isinf(c) or c == 0.0:
         return math.inf
     try:
@@ -652,7 +686,7 @@ def _rearrangement_priced_upper(x, E, window):
     shapes += [finite(mu_x.head(L)) for L in sorted({min(L, window) for L in TRUNCATION_LEVELS})]
     costs = []
     for shape in shapes + [mu_x]:
-        c, _ = _candidate_scale(mu_x, shape, window)
+        c, _ = _scale_of(mu_x, shape, window)
         if math.isinf(c) or c == 0.0:
             continue
         if isinstance(shape, PowerLogSequence):
