@@ -45,8 +45,8 @@ power-log inputs whose values or sups only overflow the double range (each
 records an `OverflowError` where its value is not a double).  Operators:
 `calderon` of the rearranged finite inputs (a finite mu read past its
 support), both Hilbert routes on 4096 normal entries of the line and on
-supports whose naive row partition is not a power of two (3000 entries at
-halfwidth 3000, 5000 at halfwidth 8192, 777 from offset -10), and both
+supports whose length is not a power of two (3000 entries at halfwidth
+3000, 5000 at halfwidth 8192, 777 from offset -10), and both
 Hilbert routes and both `calderon` routes on [1e308, -1e308, 1e308] and
 [1e308]*3, value by value.  Power-log arithmetic: the head, weak-l1 norm
 and membership of power_log(1e300, 1e300) and power_log(1e6, 1), and
@@ -57,6 +57,12 @@ Sums whose decay exponent lies in (1, 2) are left out: there the explicit
 sum runs toward the 2^24-term cap and a single call takes seconds.  The
 weak-l1 grid sums no such series, so it is kept apart from the five-space
 loop, where the same profiles would be slow in llog and lp.
+
+Run both checkouts at the same BLAS thread count (`OPENBLAS_NUM_THREADS`).
+The naive Hilbert route sums each output as one BLAS dot product, which
+OpenBLAS splits across threads only above 10000 terms: the naive digests
+here (all with supports of at most 5000) agree between thread counts, but
+a digest of a longer support can differ.
 
 Usage:
     python3 scripts/bit_check.py --out bits.json
@@ -393,7 +399,9 @@ def main() -> int:
     line = finite(np.random.default_rng(101).standard_normal(4096), -2048, IndexDomain.LINE)
     for method in (METHOD_NAIVE, METHOD_FAST):
         record(out, f"hilbert/normal4096/{method}", lambda: image_doc(hilbert_symmetric(line, 4096, method)))
-    # supports whose naive row partition 2^24 // K is not a power of two
+    # supports whose length is not a power of two; the naive route sums each
+    # output as one dot product of K <= 10000 terms, whose bits do not depend
+    # on the BLAS thread count
     rng = np.random.default_rng(103)
     for size, offset, half in ((3000, 0, 3000), (5000, 0, 8192), (777, -10, 777)):
         x = finite(rng.standard_normal(size), offset, IndexDomain.LINE)

@@ -301,15 +301,47 @@ def test_power_log_shape_is_read_before_any_head_is_built(tmp_path, beta, space,
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
-def test_naive_hilbert_holds_one_row_block(tmp_path):
-    # 8193 outputs of a 4096-entry support: two 4096 x 4096 row blocks of
-    # 128 MiB each, only one of which may be in memory at a time
+def test_naive_hilbert_holds_only_its_input_and_output(tmp_path):
+    # 8193 outputs of a 4096-entry support, one dot product each: a dense
+    # 4096 x 4096 row block alone would take 128 MiB
     p = tmp_path / "h4k.json"
     vals = np.random.default_rng(4).standard_normal(4096)
     p.write_text(json.dumps({"kind": "finite", "domain": "line", "offset": -2048, "values": vals.tolist()}))
     code, out, peak_kb = _run_with_peak(["hilbert", "--method", "naive", "--window", "4096", "--in", str(p)])
     assert code == 0 and len(json.loads(out)["values"]) == 8193
-    assert peak_kb < 224 * 1024
+    assert peak_kb < 48 * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_verify_core_keeps_memory_bounded():
+    # the brute tail partial sums over [64, 2^21) run in blocks of 2^16 terms
+    code, out, peak_kb = _run_with_peak(["verify", "--suite", "core"])
+    assert code == 0 and json.loads(out)["counts"]["fail"] == 0
+    assert peak_kb < 64 * 1024
+
+
+def test_naive_hilbert_bits_do_not_depend_on_the_blas_thread_count():
+    # each output is one dot product of K <= 10000 terms, which BLAS ddot
+    # sums on one thread whatever the thread count
+    child = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from calderon.operators import METHOD_NAIVE, hilbert_symmetric\n"
+        "from calderon.sequences import IndexDomain, finite\n"
+        "rng = np.random.default_rng(103)\n"
+        "for size, offset, half in ((5000, 0, 8192), (777, -10, 777)):\n"
+        "    x = finite(rng.standard_normal(size), offset, IndexDomain.LINE)\n"
+        "    h = hilbert_symmetric(x, half, METHOD_NAIVE).window_values\n"
+        "    print(hashlib.sha256(h.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=300, check=True)
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 def test_norm_space_file(capsys, impulse_file, tmp_path):
