@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calderon import operators
 from calderon.families import family_rng, generate_family
 from calderon.operators import (
     METHOD_FAST,
@@ -312,6 +313,24 @@ def test_hilbert_fast_matches_brute_oracle(vals, offset):
         assert out.value_at(n) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
+def dense_hilbert(vals, s0, out_lo, out_hi):
+    """The naive route written out as a dense formula: row n is built on its
+    own as 1/(n - k) with its diagonal zeroed, and each output is the one dot
+    product of that row with vals that a full-overlap `np.convolve` takes,
+    over the rescale by 2**e as in `hilbert`."""
+    e = math.frexp(float(np.max(np.abs(vals))))[1]
+    scaled = np.ldexp(vals, -e)
+    ks = s0 + np.arange(len(vals), dtype=np.float64)
+    out = np.empty(out_hi - out_lo + 1)
+    for i, n in enumerate(range(out_lo, out_hi + 1)):
+        with np.errstate(divide="ignore"):
+            row = 1.0 / (float(n) - ks)
+        row[ks == n] = 0.0
+        # pairs row[j] with scaled[j], summed from the largest k down
+        out[i] = np.convolve(np.ascontiguousarray(row[::-1]), scaled, mode="valid")[0]
+    return np.ldexp(out / math.pi, e)
+
+
 # (K, offset, out_lo, out_hi): windows across, wholly left and wholly right of
 # the support, and a kernel longer than the window
 NAIVE_SHAPES = [
@@ -339,6 +358,28 @@ def test_naive_hilbert_is_the_direct_sum_within_its_rounding_bound(K, offset, ou
         want = math.fsum(terms) / math.pi
         bound = ((K + 3) * math.fsum(map(abs, terms)) / math.pi + 4.0 * abs(want)) * u
         assert abs(out.value_at(n) - want) <= bound, n
+
+
+@pytest.mark.parametrize("K, offset, out_lo, out_hi", NAIVE_SHAPES)
+def test_naive_hilbert_is_the_dense_formula_bit_for_bit(K, offset, out_lo, out_hi):
+    vals = np.random.default_rng([K, abs(offset)]).standard_normal(K) * 3.0
+    got = hilbert(FiniteSequence(IndexDomain.LINE, offset, vals), out_lo, out_hi, METHOD_NAIVE)
+    assert np.array_equal(got.window_values, dense_hilbert(vals, offset, out_lo, out_hi))
+
+
+@pytest.mark.parametrize("K, offset, out_lo, out_hi", NAIVE_SHAPES)
+def test_naive_hilbert_matches_brute_oracle_at_every_block_edge(monkeypatch, K, offset, out_lo, out_hi):
+    # the naive route has no row blocks: at a 64-entry KERNEL_BLOCK it gives
+    # the same bits as at the default, and every output, each edge of a
+    # 64 // K row partition among them, matches the brute oracle
+    vals = np.random.default_rng([K, abs(offset), 1]).standard_normal(K)
+    x = FiniteSequence(IndexDomain.LINE, offset, vals)
+    default = hilbert(x, out_lo, out_hi, METHOD_NAIVE)
+    monkeypatch.setattr(operators, "KERNEL_BLOCK", 64)
+    out = hilbert(x, out_lo, out_hi, METHOD_NAIVE)
+    assert np.array_equal(out.window_values, default.window_values)
+    for n in range(out_lo, out_hi + 1):
+        assert out.value_at(n) == pytest.approx(brute_hilbert(vals, offset, n), rel=1e-11, abs=1e-11)
 
 
 def test_hilbert_of_unit_impulse():
