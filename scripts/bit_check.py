@@ -78,7 +78,7 @@ import sys
 import numpy as np
 
 from calderon.brackets import ratio_profile_sup
-from calderon.operators import METHOD_FAST, METHOD_NAIVE, calderon, calderon_min_kernel, hilbert_symmetric
+from calderon.operators import METHOD_FAST, METHOD_NAIVE, calderon, calderon_min_kernel, hilbert
 from calderon.optimal_range import (
     GENERATORS, GridConfig, _candidate_scale, _domination_length, check_domination, f_norm_upper,
     harmonic_calderon_closed_form,
@@ -398,7 +398,7 @@ def main() -> int:
         record(out, f"calderon/mu/{name}", lambda: image_doc(calderon(decreasing_rearrangement(x), 4096)))
     line = finite(np.random.default_rng(101).standard_normal(4096), -2048, IndexDomain.LINE)
     for method in (METHOD_NAIVE, METHOD_FAST):
-        record(out, f"hilbert/normal4096/{method}", lambda: image_doc(hilbert_symmetric(line, 4096, method)))
+        record(out, f"hilbert/normal4096/{method}", lambda: image_doc(hilbert(line, -4096, 4096, method)))
     # supports whose length is not a power of two; the naive route sums each
     # output as one dot product of K <= 10000 terms, whose bits do not depend
     # on the BLAS thread count
@@ -407,12 +407,12 @@ def main() -> int:
         x = finite(rng.standard_normal(size), offset, IndexDomain.LINE)
         for method in (METHOD_NAIVE, METHOD_FAST):
             record(out, f"hilbert/normal{size}@{offset}/h{half}/{method}",
-                   lambda: image_doc(hilbert_symmetric(x, half, method)))
+                   lambda: image_doc(hilbert(x, -half, half, method)))
     big = {"line": finite([1e308, -1e308, 1e308], 0, IndexDomain.LINE), "half": finite([1e308] * 3)}
     for name, x in big.items():
         for method in (METHOD_NAIVE, METHOD_FAST):
             record(out, f"edge/hilbert/{name}/{method}",
-                   lambda: values_doc(hilbert_symmetric(x, 4, method).window_values))
+                   lambda: values_doc(hilbert(x, -4, 4, method).window_values))
     for route in (calderon, calderon_min_kernel):
         record(out, f"edge/{route.__name__}/half", lambda: values_doc(route(big["half"], 4).window_values))
     # power-log arithmetic past the double range, and a tail start past the scan cap

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -29,7 +28,6 @@ from .operators import (
     calderon,
     calderon_min_kernel,
     hilbert,
-    hilbert_symmetric,
 )
 from .optimal_range import (
     GridConfig,
@@ -57,7 +55,7 @@ from .spaces import (
     space_norm,
     space_spec_from_json,
 )
-from .suites import OPTRANGE_SUBSUITES, SUITE_NAMES, run_optrange_subsuite, run_suite
+from .suites import OPTRANGE_SUBSUITES, SUITE_NAMES, run_suite
 
 _SPACE_SHORTHAND = {
     "weak_l1": WEAK_L1,
@@ -302,11 +300,8 @@ def _cmd_hilbert(args) -> int:
     method = METHOD_NAIVE if args.method == "naive" else METHOD_FAST
     if (args.lo is None) != (args.hi is None):
         raise UsageError("--lo and --hi must be given together")
-    if args.lo is None:
-        out = hilbert_symmetric(x, args.window, method)
-    else:
-        out = hilbert(x, args.lo, args.hi, method)
-    _emit_operator_output(out, args)
+    lo, hi = (-args.window, args.window) if args.lo is None else (args.lo, args.hi)
+    _emit_operator_output(hilbert(x, lo, hi, method), args)
     return 0
 
 
@@ -346,7 +341,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_optrange_verify(args) -> int:
-    return _emit_report(run_optrange_subsuite(args.suite, _config_from(args)), args)
+    return _emit_report(run_suite(f"optrange/{args.suite}", _config_from(args)), args)
 
 
 def _cmd_bench(args) -> int:

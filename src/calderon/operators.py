@@ -16,10 +16,13 @@ by explicit kernel products (naive).  H acts on full-line sequences:
     (H x)(n) = (1/pi) * sum_{k != n} x(k)/(n-k),
 
 with a direct-summation route (naive) and a zero-padded FFT convolution
-route (fast).  Both read the kernel 1/(n-k) from one reciprocal vector.  The
-naive route is `np.convolve` in "valid" mode: one dot product of length K
-per output, holding nothing beyond its input and output.  Its bits depend on
-no partition; BLAS `ddot` may split a dot product longer than 10000 terms
+route (fast).  `hilbert(x, lo, hi, method)` is the one entry point for
+both, on any output window [lo, hi]; a symmetric one is [-h, h].  It reads
+no index domain, so a half-line x is transformed as it stands.  Both routes
+read the kernel 1/(n-k) from one reciprocal vector.  The naive route is
+`np.convolve` in "valid" mode: one dot product of length K per output,
+holding nothing beyond its input and output.  Its bits depend on no
+partition; BLAS `ddot` may split a dot product longer than 10000 terms
 across threads, so only for K > 10000 can they differ between thread counts.
 All extended-precision accumulation uses longdouble cumulative sums; analytic
 inputs get certified per-index tail half-widths.
@@ -48,6 +51,7 @@ from .sequences import (
     Rearrangement,
     decreasing_rearrangement,
     dilate,
+    finite,
     materialize,
     weighted_tail_sum,
 )
@@ -228,14 +232,13 @@ def hilbert(
     convolution (fast).  Both routes transform x / 2**e, e the exponent of
     max |x|, and rescale once: H is linear and the rescale exact, so no
     partial sum overflows, and a value above the double range reads inf.
-    Analytic half-line inputs are truncated at analytic_window and every
-    output index carries the certified truncation half-width
-    (2/pi) * sum_{k>=W} x(k)/k.
+    H reads no index domain: a half-line x is transformed as the line
+    sequence with the same entries.  Analytic inputs are transformed as
+    materialize(x, analytic_window), and every output index carries the
+    certified truncation half-width (2/pi) * sum_{k>=W} x(k)/k.
     """
     if out_lo > out_hi:
         raise ValueError("output window is empty")
-    if method == "fast":
-        method = METHOD_FAST
     if method not in (METHOD_NAIVE, METHOD_FAST):
         raise ValueError(f"unknown evaluation method: {method!r}")
     hw_uniform = 0.0
@@ -248,7 +251,6 @@ def hilbert(
         tail = weighted_tail_sum(x, W - 1)
         hw_uniform = 2.0 / PI * max(abs(tail.lo), abs(tail.hi))  # either sign of scale
         x = materialize(x, W)
-        x = FiniteSequence(IndexDomain.LINE, x.offset, x.values)
     if not isinstance(x, FiniteSequence):
         raise TypeError(f"not a sequence: {type(x)!r}")
     n_out = out_hi - out_lo + 1
@@ -267,11 +269,6 @@ def hilbert(
     return OperatorOutput(out_lo, vals, hw, method)
 
 
-def hilbert_symmetric(x: MuLike, halfwidth: int, method: str = METHOD_FAST) -> OperatorOutput:
-    """H on the symmetric window [-halfwidth, halfwidth]."""
-    return hilbert(x, -halfwidth, halfwidth, method)
-
-
 # ---------------------------------------------------------------------------
 # measurements (single-input or one family; suites.py turns them into cases)
 
@@ -286,7 +283,7 @@ def reflected_lower_pair(x: FiniteSequence, n: int, method: str) -> tuple[np.nda
     if x.offset != 0 or np.any(x.values < 0) or np.any(np.diff(x.values) > 0):
         raise ValueError("lower bound needs nonnegative nonincreasing values from index 0")
     sx = calderon(x, n + 1).window_values[1:]
-    h = hilbert(FiniteSequence(IndexDomain.LINE, x.offset, x.values), -n, -1, method)
+    h = hilbert(x, -n, -1, method)
     return sx / (2.0 * PI), np.abs(h.window_values[::-1])
 
 
@@ -309,7 +306,6 @@ def estimate_weak11_constant(
     """sup over the family of |H x|_weak(symmetric window) / |x|_1, at the
     window and at its double (stability diagnostic)."""
     from .spaces import weak_l1_quasinorm
-    from .sequences import finite
 
     sups = []
     for W in (window, 2 * window):
@@ -318,9 +314,8 @@ def estimate_weak11_constant(
             l1 = x.l1()
             if l1 == 0.0:
                 continue
-            xl = FiniteSequence(IndexDomain.LINE, x.offset, x.values)
-            h = hilbert_symmetric(xl, W, METHOD_FAST)
-            wnorm = weak_l1_quasinorm(finite(h.window_values, h.offset, IndexDomain.LINE)).value
+            h = hilbert(x, -W, W, METHOD_FAST)
+            wnorm = weak_l1_quasinorm(finite(h.window_values)).value
             worst = max(worst, wnorm / l1)
         sups.append(worst)
     return Weak11Estimate(sups[0], sups[1], window)
@@ -350,8 +345,8 @@ def fast_naive_agreement(x: FiniteSequence, halfwidth: int) -> float:
     """Normwise deviation max|naive - fast| / max|naive| on the symmetric
     window (0 when the naive output vanishes).  The FFT route's rounding error
     is bounded normwise, so a pointwise ratio would blow up near zeros of H x."""
-    a = hilbert_symmetric(x, halfwidth, METHOD_NAIVE).window_values
-    b = hilbert_symmetric(x, halfwidth, METHOD_FAST).window_values
+    a = hilbert(x, -halfwidth, halfwidth, METHOD_NAIVE).window_values
+    b = hilbert(x, -halfwidth, halfwidth, METHOD_FAST).window_values
     scale = float(np.max(np.abs(a)))
     return float(np.max(np.abs(a - b))) / scale if scale > 0 else 0.0
 
@@ -382,9 +377,9 @@ def bench_hilbert(sizes: TySequence[int], seed: int = 1) -> list[BenchRow]:
         x = FiniteSequence(IndexDomain.LINE, 0, vals)
         half = min(size, BENCH_OUT_CAP)
         t0 = time.perf_counter()
-        hilbert_symmetric(x, half, METHOD_NAIVE)
+        hilbert(x, -half, half, METHOD_NAIVE)
         t1 = time.perf_counter()
-        hilbert_symmetric(x, half, METHOD_FAST)
+        hilbert(x, -half, half, METHOD_FAST)
         t2 = time.perf_counter()
         rows.append(BenchRow(size, t1 - t0, t2 - t1, fast_naive_agreement(x, half)))
     return rows

@@ -48,10 +48,9 @@ from typing import Optional, Sequence as TySequence
 import numpy as np
 
 from .brackets import DivergentTailError, InvariantError, ratio_profile_sup
-from .operators import METHOD_FAST, calderon, hilbert_symmetric
+from .operators import METHOD_FAST, calderon, hilbert
 from .sequences import (
     FiniteSequence,
-    IndexDomain,
     MuLike,
     PowerLogSequence,
     Rearrangement,
@@ -158,14 +157,6 @@ def harmonic_calderon_closed_form(n):
     return (harmonic_number(n + 1) + 1.0) / (n + 1.0)
 
 
-@lru_cache(maxsize=8)
-def _harmonic_calderon_window(window: int) -> np.ndarray:
-    """(S mu(a)) on [0, window), built once per window and read-only."""
-    img = harmonic_calderon_closed_form(np.arange(window))
-    img.setflags(write=False)
-    return img
-
-
 # ---------------------------------------------------------------------------
 # membership functional
 
@@ -259,11 +250,14 @@ def check_domination(x: MuLike, y: MuLike, window: int) -> DominationCertificate
 
 @lru_cache(maxsize=64)
 def _shape_calderon_floor(shape: PowerLogSequence, window: int) -> np.ndarray:
-    """Lower end of S mu(shape) on [0, window), `calderon` values minus
-    half-widths, for an x-independent power-log shape: built once per
-    (shape, window) and read-only."""
-    out = calderon(decreasing_rearrangement(shape), window)
-    s_lo = out.window_values - out.tail_halfwidth_per_index
+    """Lower end of S mu(shape) on [0, window) for an x-independent power-log
+    shape, built once per (shape, window) and read-only: the closed form for
+    the harmonic profile, `calderon` values minus half-widths otherwise."""
+    if shape.is_harmonic:
+        s_lo = shape.scale * harmonic_calderon_closed_form(np.arange(window))
+    else:
+        out = calderon(decreasing_rearrangement(shape), window)
+        s_lo = out.window_values - out.tail_halfwidth_per_index
     s_lo.setflags(write=False)
     return s_lo
 
@@ -274,25 +268,21 @@ def _candidate_scale(
     """Minimal c with mu(x) <= c * S mu(shape) certified on all of Z+,
     together with the tail argument used; lhs is mu_x.head(n), n =
     `_domination_length`.  The scale is certified from the lower end of
-    S mu(shape): the cached closed form for the harmonic shape,
-    the cached `calderon` lower end for the other power-log shapes, else
+    S mu(shape): `_shape_calderon_floor` for a power-log shape, else
     `calderon` values minus half-widths, clamped to the largest double.  For
     a finite x it is read on the support only: past it mu(x) = 0, and every
     c passes.  Returns (inf, reason) when the shape cannot dominate any
     scaling of x, (0, reason) when the scale underflows."""
     n = len(lhs)
-    if isinstance(shape, PowerLogSequence) and shape.is_harmonic:
-        s_lo = shape.scale * _harmonic_calderon_window(window)[:n]
+    if isinstance(shape, PowerLogSequence):
+        s_lo = _shape_calderon_floor(shape, window)[:n]
     else:
-        if isinstance(shape, PowerLogSequence):
-            s_lo = _shape_calderon_floor(shape, window)[:n]
-        else:
-            # An image entry that rounds to inf stands for a true S value above
-            # the double range: the largest double is a lower end of it.
-            out = calderon(decreasing_rearrangement(shape), n)
-            s_lo = np.minimum(out.window_values - out.tail_halfwidth_per_index, np.finfo(float).max)
-        if float(np.min(s_lo)) <= 0.0:
-            return math.inf, "witness image not positive on window"
+        # An image entry that rounds to inf stands for a true S value above
+        # the double range: the largest double is a lower end of it.
+        out = calderon(decreasing_rearrangement(shape), n)
+        s_lo = np.minimum(out.window_values - out.tail_halfwidth_per_index, np.finfo(float).max)
+    if float(np.min(s_lo)) <= 0.0:
+        return math.inf, "witness image not positive on window"
     ratios, tail_sup, tail_argument = _domination(mu_x, lhs, shape, s_lo)
     if math.isinf(tail_sup):
         return math.inf, "no analytic tail rule certifies this witness shape"
@@ -486,7 +476,7 @@ def verify_minimality(
     def image(y: MuLike) -> np.ndarray:
         return calderon(decreasing_rearrangement(y), member_window).window_values
 
-    harmonic_img = _harmonic_calderon_window(window)
+    harmonic_img = _shape_calderon_floor(power_log(1.0, 0.0), window)
     denom = space_norm(E, power_log(1.0, 0.0), window).value
     # G-independent: the members with their F estimates, and the images and
     # E-norms of the witnesses extended by the members' own certifying
@@ -517,8 +507,7 @@ def hilbert_upper_constant(
     [-out_window, out_window], over the family."""
     worst = 0.0
     for x in l1_family:
-        xl = FiniteSequence(IndexDomain.LINE, x.offset, x.values)
-        h = hilbert_symmetric(xl, out_window, METHOD_FAST)
+        h = hilbert(x, -out_window, out_window, METHOD_FAST)
         mu_h = np.sort(np.abs(h.window_values))[::-1]
         # the first head entries of the windowed rearrangement are the true
         # ones as long as they exceed the window-edge envelope |x|_1/(pi d)

@@ -80,10 +80,6 @@ class VerificationReport:
     cases: list = field(default_factory=list)
     environment: dict = field(default_factory=dict)
 
-    def add(self, case: CaseResult) -> CaseResult:
-        self.cases.append(case)
-        return case
-
     def extend(self, other) -> None:
         """Append the cases of another report, or an iterable of cases."""
         self.cases.extend(other.cases if isinstance(other, VerificationReport) else other)

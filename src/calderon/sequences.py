@@ -170,10 +170,6 @@ def finite(values, offset: int = 0, domain: IndexDomain = IndexDomain.HALF_LINE)
     return FiniteSequence(domain, offset + first, arr[first : last + 1].copy())
 
 
-def zero(domain: IndexDomain = IndexDomain.HALF_LINE) -> FiniteSequence:
-    return finite((), 0, domain)
-
-
 def power_log(alpha: float, beta: float, scale: float = 1.0) -> PowerLogSequence:
     return PowerLogSequence(alpha, beta, scale)
 
@@ -325,9 +321,7 @@ def add_scaled(x1: Sequence, a1: float, x2: Sequence, a2: float) -> Sequence:
     if isinstance(x1, FiniteSequence) and isinstance(x2, FiniteSequence):
         if x1.domain is not x2.domain:
             raise DomainMismatchError("cannot combine sequences on different index domains")
-        if x1.is_zero and x2.is_zero:
-            return zero(x1.domain)
-        if x1.is_zero:
+        if x1.is_zero:  # a zero x2 too gives the zero sequence
             return finite(a2 * x2.values, x2.offset, x2.domain)
         if x2.is_zero:
             return finite(a1 * x1.values, x1.offset, x1.domain)

@@ -31,7 +31,6 @@ from .operators import (
     fast_naive_agreement,
     hardy_ratio,
     hilbert,
-    hilbert_symmetric,
     kernel_values,
     reflected_lower_pair,
 )
@@ -554,7 +553,8 @@ def _operators_cases(config: RunConfig, axioms: dict) -> List[CaseResult]:
     )
 
     impulse = FiniteSequence(IndexDomain.LINE, 0, np.array([1.0]))
-    h = hilbert_symmetric(impulse, min(window, 4096))
+    reach = min(window, 4096)
+    h = hilbert(impulse, -reach, reach)
     wnorm = weak_l1_quasinorm(finite(h.window_values)).value
     cases.append(
         _case(
@@ -957,12 +957,3 @@ def run_suite(name: str, config: Optional[RunConfig] = None) -> VerificationRepo
     for part in SUITE_NAMES[:-1] if name == "all" else (name,):
         report.extend(_SUITE_BUILDERS[part](config, axioms))
     return report
-
-
-def run_optrange_subsuite(name: str, config: Optional[RunConfig] = None) -> VerificationReport:
-    """The focused sub-suites exposed by the optrange CLI verb."""
-    if name not in OPTRANGE_SUBSUITES:
-        raise ValueError(
-            f"unknown optrange sub-suite {name!r}; choose one of {OPTRANGE_SUBSUITES}"
-        )
-    return run_suite(f"optrange/{name}", config)

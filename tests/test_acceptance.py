@@ -22,7 +22,7 @@ from calderon.operators import (
     estimate_weak11_constant,
     fast_naive_agreement,
     hardy_ratio,
-    hilbert_symmetric,
+    hilbert,
     reflected_lower_pair,
 )
 from calderon.optimal_range import (
@@ -113,7 +113,7 @@ def test_criterion_04_reflected_lower_bound_monotone_family():
 
 def test_criterion_05_unit_impulse_weak_constant_and_family_stability():
     e0 = FiniteSequence(IndexDomain.LINE, 0, np.array([1.0]))
-    h = hilbert_symmetric(e0, 1 << 12, METHOD_NAIVE)
+    h = hilbert(e0, -(1 << 12), 1 << 12, METHOD_NAIVE)
     w = weak_l1_quasinorm(
         finite(h.window_values, offset=h.offset, domain=IndexDomain.LINE)
     ).value

@@ -129,7 +129,7 @@ def test_operator_window_honored_exactly(capsys, impulse_file):
     assert cli.main(["calderon", "--in", impulse_file, "--window", "0"]) == 2
 
 
-def test_hilbert_symmetric_window(capsys, impulse_file):
+def test_hilbert_default_window_is_symmetric(capsys, impulse_file):
     code, doc = run_json(
         capsys, ["hilbert", "--in", impulse_file, "--window", "3", "--method", "naive"]
     )
@@ -326,12 +326,12 @@ def test_naive_hilbert_bits_do_not_depend_on_the_blas_thread_count():
     child = (
         "import hashlib\n"
         "import numpy as np\n"
-        "from calderon.operators import METHOD_NAIVE, hilbert_symmetric\n"
+        "from calderon.operators import METHOD_NAIVE, hilbert\n"
         "from calderon.sequences import IndexDomain, finite\n"
         "rng = np.random.default_rng(103)\n"
         "for size, offset, half in ((5000, 0, 8192), (777, -10, 777)):\n"
         "    x = finite(rng.standard_normal(size), offset, IndexDomain.LINE)\n"
-        "    h = hilbert_symmetric(x, half, METHOD_NAIVE).window_values\n"
+        "    h = hilbert(x, -half, half, METHOD_NAIVE).window_values\n"
         "    print(hashlib.sha256(h.tobytes()).hexdigest())\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -34,7 +34,6 @@ from calderon.suites import (
     OPTRANGE_SUBSUITES,
     SUITE_NAMES,
     _scan_case,
-    run_optrange_subsuite,
     run_suite,
 )
 
@@ -60,11 +59,10 @@ def test_json_safe_float():
 
 def test_report_counts_and_pass_fail_semantics():
     rep = VerificationReport(suite="demo", cases=[], environment={})
-    rep.add(CaseResult(name="a", status=PASS))
-    rep.add(CaseResult(name="b", status=INCONCLUSIVE, note="window too small"))
+    rep.extend([CaseResult(name="a", status=PASS), CaseResult(name="b", status=INCONCLUSIVE, note="window too small")])
     assert rep.passed and not rep.failed
     assert rep.counts() == {"pass": 1, "fail": 0, "inconclusive": 1}
-    rep.add(CaseResult(name="c", status=FAIL, observed_constant=3.0))
+    rep.extend([CaseResult(name="c", status=FAIL, observed_constant=3.0)])
     assert rep.failed and not rep.passed
     assert rep.counts()["fail"] == 1
 
@@ -79,7 +77,7 @@ def test_report_extend_accepts_reports_and_iterables():
 
 def test_emit_report_json_deterministic_and_strict():
     rep = VerificationReport(suite="demo", cases=[], environment={"seed": 1})
-    rep.add(CaseResult(name="a", status=PASS, observed_constant=math.inf))
+    rep.extend([CaseResult(name="a", status=PASS, observed_constant=math.inf)])
     buf1, buf2 = io.StringIO(), io.StringIO()
     emit_report_json(rep, buf1)
     emit_report_json(rep, buf2)
@@ -92,8 +90,7 @@ def test_emit_report_json_deterministic_and_strict():
 
 def test_emit_report_csv_shape():
     rep = VerificationReport(suite="demo", cases=[], environment={})
-    rep.add(CaseResult(name="a", status=PASS, observed_constant=0.5))
-    rep.add(CaseResult(name="b", status=FAIL))
+    rep.extend([CaseResult(name="a", status=PASS, observed_constant=0.5), CaseResult(name="b", status=FAIL)])
     buf = io.StringIO()
     emit_report_csv(rep, buf)
     lines = buf.getvalue().strip().split("\n")
@@ -204,7 +201,7 @@ def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("everything")
     with pytest.raises(ValueError):
-        run_optrange_subsuite("core")
+        run_suite("optrange/core")
 
 
 @pytest.mark.parametrize("name", ["core", "norms"])
@@ -311,6 +308,6 @@ def test_scan_case_stops_drawing_after_first_failure():
 
 @pytest.mark.parametrize("name", sorted(OPTRANGE_SUBSUITES))
 def test_optrange_subsuites_pass_small(name):
-    rep = run_optrange_subsuite(name, RunConfig(seed=1, window=1 << 9, trials=4))
+    rep = run_suite(f"optrange/{name}", RunConfig(seed=1, window=1 << 9, trials=4))
     assert rep.passed, [c for c in rep.cases if c.status != PASS]
     assert rep.suite == f"optrange/{name}"

@@ -17,7 +17,10 @@ index arrays, never index by index in a loop or comprehension.
 
 The sequence wire format is written once: only `sequences` builds a dict
 with a "kind" key, so every printed sequence reads back through
-`sequence_from_json`."""
+`sequence_from_json`.
+
+No module but the package `__init__`, which re-exports, imports a name it
+never reads: a deletion takes its now-dead imports with it."""
 
 import ast
 import json
@@ -307,3 +310,35 @@ def test_kind_detector_sees_displays_calls_and_item_assignments():
     for src in ('kind = d.get("kind")\n', 'd = {"space": spec.kind}\n', 'd = {"kinds": 1}\n',
                 'if d["kind"] == "finite":\n    pass\n', 'keys = {"domain", "kind"}\n'):
         assert not _kind_writes(ast.parse(src)), src
+
+
+def _unread_imports(tree) -> list:
+    """Every name an import binds that the tree never reads (loads);
+    `from __future__` imports bind none."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = {m: names for m, tree in _modules() if m != "__init__" and (names := _unread_imports(tree))}
+    assert not unread, unread
+
+
+def test_unread_import_detector_sees_every_import_form():
+    for src, unread in (("import math\n", ["math"]), ("import numpy as np\n", ["np"]),
+                        ("import os.path\n", ["os"]), ("from . import report\n", ["report"]),
+                        ("from .sequences import IndexDomain, finite\nfinite(())\n", ["IndexDomain"]),
+                        ("from .x import y as z\ny()\n", ["z"]), ("import math\nmath = 1\n", ["math"]),
+                        ("def f():\n    import math\n    return 1\n", ["math"])):
+        assert _unread_imports(ast.parse(src)) == unread, src
+    for src in ("from __future__ import annotations\n", "import os.path\nos.getcwd()\n",
+                "from . import report\nreport.emit()\n", "def f():\n    import math\n    return math.pi\n",
+                "from typing import Optional\ndef f(x: Optional[int]) -> None:\n    pass\n",
+                "try:\n    import scipy\nexcept ImportError:\n    scipy = None\nprint(scipy)\n"):
+        assert not _unread_imports(ast.parse(src)), src

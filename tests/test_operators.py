@@ -20,7 +20,6 @@ from calderon.operators import (
     fast_naive_agreement,
     hardy_ratio,
     hilbert,
-    hilbert_symmetric,
     kernel_values,
     reflected_lower_pair,
 )
@@ -34,6 +33,7 @@ from calderon.sequences import (
     decreasing_rearrangement,
     dilate,
     finite,
+    materialize,
     power_log,
     weighted_tail_sum,
 )
@@ -384,16 +384,32 @@ def test_naive_hilbert_matches_brute_oracle_at_every_block_edge(monkeypatch, K, 
 
 def test_hilbert_of_unit_impulse():
     e0 = FiniteSequence(IndexDomain.LINE, 0, np.array([1.0]))
-    out = hilbert_symmetric(e0, 5, METHOD_NAIVE)
+    out = hilbert(e0, -5, 5, METHOD_NAIVE)
     assert out.value_at(0) == 0.0
     for n in (1, 2, 3, 4, 5):
         assert out.value_at(n) == pytest.approx(1.0 / (math.pi * n), rel=1e-15)
         assert out.value_at(-n) == pytest.approx(-1.0 / (math.pi * n), rel=1e-15)
 
 
+@pytest.mark.parametrize("method", [METHOD_NAIVE, METHOD_FAST])
+def test_hilbert_reads_no_index_domain(method):
+    # callers pass half-line and analytic inputs as they stand: H of a
+    # half-line x is H of the line sequence with the same entries, and H of an
+    # analytic x is H of its materialized window, value for value
+    vals = np.random.default_rng(8).standard_normal(37)
+    W = 1 << 10
+    pl = power_log(1.5, 1.0, -0.7)
+    pairs = ((finite(vals, 3), FiniteSequence(IndexDomain.LINE, 3, vals)),
+             (pl, materialize(pl, W)),
+             (decreasing_rearrangement(pl), materialize(decreasing_rearrangement(pl), W)))
+    for x, ref in pairs:
+        got = hilbert(x, -50, 60, method, analytic_window=W).window_values
+        assert got.tobytes() == hilbert(ref, -50, 60, method).window_values.tobytes(), x
+
+
 def test_unit_impulse_weak_constant_is_two_over_pi():
     e0 = FiniteSequence(IndexDomain.LINE, 0, np.array([1.0]))
-    h = hilbert_symmetric(e0, 64, METHOD_NAIVE)
+    h = hilbert(e0, -64, 64, METHOD_NAIVE)
     w = weak_l1_quasinorm(
         finite(h.window_values, offset=h.offset, domain=IndexDomain.LINE)
     ).value
@@ -422,13 +438,8 @@ def test_hilbert_rejects_bad_method_and_window():
         hilbert(x, 2, 1)
     with pytest.raises(ValueError):
         hilbert(x, 0, 1, method="magic")
-
-
-def test_hilbert_method_alias_fast():
-    x = FiniteSequence(IndexDomain.LINE, 0, np.array([1.0, -2.0]))
-    a = hilbert(x, -3, 3, "fast").window_values
-    b = hilbert(x, -3, 3, METHOD_FAST).window_values
-    assert np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        hilbert(x, 0, 1, method="fast")  # the CLI spelling; the library takes METHOD_FAST
 
 
 def test_fast_length_is_scipys_real_fast_length():
@@ -526,7 +537,7 @@ def test_fast_hilbert_matches_naive_at_the_double_range():
     x = finite([1e308, -1e308, 1e308], 0, IndexDomain.LINE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        naive = hilbert_symmetric(x, 4, METHOD_NAIVE).window_values
+        naive = hilbert(x, -4, 4, METHOD_NAIVE).window_values
         assert np.all(np.isfinite(naive))
         assert fast_naive_agreement(x, 4) <= TOLERANCE_FAST
 

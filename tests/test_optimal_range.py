@@ -721,20 +721,25 @@ def test_analytic_mu_x_is_searched_through_its_unit_profile(x, E):
     assert sequence_to_json(sequence_from_json(doc)) == sequence_to_json(y)
 
 
-@pytest.mark.parametrize("E", CATALOG_SPACES, ids=lambda E: E.label)
+@pytest.mark.parametrize("E", (WEAK_L1, *CATALOG_SPACES), ids=lambda E: E.label)
 def test_search_meets_a_tailed_rearrangement_only_in_the_recheck(E):
     # the unit profile's image and norm do not depend on x: once cached, the
     # search over another scale of the profile neither applies S to nor norms
     # a Rearrangement with a power-log tail; only the re-check of a power-log
-    # winner reads S mu(y) afresh
-    f_norm_upper(power_log(2.0, 2.0, 0.5), E, SMALL_GRID)
+    # winner reads S mu(y) afresh.  Over weak-l1 the search reads the harmonic
+    # image in closed form: from a cold cache it applies S to nothing at all
+    weak = E.kind == "weak_l1"
+    if weak:
+        optimal_range._shape_calderon_floor.cache_clear()
+    else:
+        f_norm_upper(power_log(2.0, 2.0, 0.5), E, SMALL_GRID)
     seen, in_recheck = [], []
 
     def tailed(y):
         return isinstance(y, Rearrangement) and not y.tail.is_zero
 
     def calderon_spy(y, n):
-        if tailed(y):
+        if tailed(y) or weak:
             seen.append(("calderon", bool(in_recheck)))
         return calderon(y, n)
 
@@ -757,6 +762,7 @@ def test_search_meets_a_tailed_rearrangement_only_in_the_recheck(E):
     assert est.witness.verified
     power_log_winner = isinstance(est.witness.y, PowerLogSequence)
     assert seen == ([("calderon", True)] if power_log_winner else [])
+    assert power_log_winner or not weak
 
 
 # ---------------------------------------------------------------------------
@@ -821,6 +827,16 @@ def test_hilbert_sandwich_small():
 
 # ---------------------------------------------------------------------------
 # the closed-form anchor used throughout
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("window", [1, 16, 1 << 14, 1 << 16])
+def test_shape_cache_holds_the_harmonic_closed_form(window, scale):
+    # one cache holds the lower end of S mu(shape) for every power-log shape;
+    # for the harmonic profile it is the closed form at the shape's scale
+    s_lo = optimal_range._shape_calderon_floor(power_log(1.0, 0.0, scale), window)
+    assert s_lo.tobytes() == (scale * harmonic_calderon_closed_form(np.arange(window))).tobytes()
+    assert not s_lo.flags.writeable
 
 
 def test_closed_form_envelope_toward_one():

@@ -33,7 +33,6 @@ from calderon.sequences import (
     sequence_from_json,
     sequence_to_json,
     weighted_tail_sum,
-    zero,
 )
 
 finite_values = st.lists(
@@ -145,7 +144,7 @@ def test_every_rearrangement_tail_is_a_power_log_profile_at_scale_at_least_zero(
         with pytest.raises(ValueError, match="tail scale must be nonnegative"):
             Rearrangement(np.empty(0), power_log(2.0, 1.0, scale))
     tails = [decreasing_rearrangement(x).tail for x in
-             (finite([3.0, -1.0]), zero(), power_log(1.5, 2.0, -0.37), power_log(1.0, 0.0, 0.0))]
+             (finite([3.0, -1.0]), finite(()), power_log(1.5, 2.0, -0.37), power_log(1.0, 0.0, 0.0))]
     tails.append(dilate(decreasing_rearrangement(finite([2.0, 1.0])), 3).tail)
     assert tails[0] == tails[1] == tails[3] == tails[4] == ZERO_TAIL == Rearrangement(np.empty(0)).tail
     assert tails[2] == power_log(1.5, 2.0, 0.37)
